@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,7 +68,6 @@ class LiftingGraph:
             raise ValueError(f"unknown graph kind {self.kind!r}")
         if len(self.adjacency) != self.k:
             raise ValueError("adjacency list length must equal k")
-        seen_edges = set()
         for i, nbrs in enumerate(self.adjacency):
             if list(nbrs) != sorted(set(nbrs)):
                 raise ValueError("neighbor lists must be sorted and duplicate-free")
@@ -78,7 +78,6 @@ class LiftingGraph:
                     raise ValueError("neighbor index out of range")
                 if i not in self.adjacency[j]:
                     raise ValueError("adjacency must be symmetric")
-                seen_edges.add((min(i, j), max(i, j)))
         if self.k > 1:
             # connectivity via BFS from node 0
             seen = {0}
@@ -130,11 +129,14 @@ def _check_index(g: LiftingGraph, i: int) -> None:
         raise ValueError("node index out of range")
 
 
+@lru_cache(maxsize=32)
 def make_graph(kind: str, k: int, arity: int | None = None) -> LiftingGraph:
     """Build one of the stock graph families on k nodes.
 
     kind one of "star" (node 0 is the hub), "balanced_ary" (breadth-first
     arity-ary tree, requires arity >= 2), "path" (0-1-...-(k-1)).
+    Graphs are immutable, so repeated requests share one validated
+    instance and a partition and its self-check build it once.
     """
     if k < 1:
         raise ValueError("graph needs at least one node")
@@ -204,20 +206,6 @@ def quadratic_form(g: LiftingGraph, vectors) -> float:
     return float(np.einsum("ij,ij->", diff, diff))
 
 
-def _height_from_root(g: LiftingGraph) -> int:
-    depth = {0: 0}
-    queue = deque([0])
-    best = 0
-    while queue:
-        x = queue.popleft()
-        for j in g.adjacency[x]:
-            if j not in depth:
-                depth[j] = depth[x] + 1
-                best = max(best, depth[j])
-                queue.append(j)
-    return best
-
-
 def _bfs_ecc(g: LiftingGraph, src: int) -> int:
     depth = {src: 0}
     queue = deque([src])
@@ -241,7 +229,7 @@ def stats(g: LiftingGraph) -> GraphStats:
     """
     max_deg = max(len(a) for a in g.adjacency) if g.k > 0 else 0
     if g.is_tree and g.kind != "custom":
-        dh = _height_from_root(g)
+        dh = _bfs_ecc(g, 0)
     else:
         dh = max(_bfs_ecc(g, s) for s in range(g.k))
     return GraphStats(g.edge_count, max_deg, dh)

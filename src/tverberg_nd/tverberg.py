@@ -29,27 +29,16 @@ expectation before the choice, can never increase that expectation, so
 the finished traversal is at most the average over all assignments; the
 emitted radius guarantees rest on that dominance.
 
-A heap-shaped search tree over the classes caches subtree totals of the
-objective ingredients, so a qualifying class is usually found by descent
-instead of a scan: when a node does not qualify, the search recurses
-into the child subtree with the smallest mean. Exhausted classes are
-skipped; if the descent dead-ends (subtree means weight classes
-uniformly, so a low mean can hide behind exhausted entries), a linear
-scan over feasible classes picks the smallest objective, lowest index
-winning ties. Both paths return a class at or below the weighted
-average, which always exists because that average runs over feasible
-classes only.
+Each step takes the feasible class with the smallest value, lowest index
+winning ties. A minimum over the feasible classes never exceeds their
+quota-weighted average, and a feasible class exists until every row is
+placed.
 
-Two state layouts implement the bookkeeping:
-
-* general sizes lift through a balanced arity-ary tree, which then doubles
-  as the search tree, so every update touches one node and its tree
-  neighborhood;
-* equal sizes lift through a star. There the hub neighbors every leaf, so
-  hub assignments shift all leaf entries at once by the same amount; the
-  leaf entries are therefore stored relative to a shared scalar/vector
-  offset, the search tree is a separate balanced ternary heap over the
-  classes (class index = heap position), and every update stays O(d).
+One state object holds quota, deg, quota_bal and sum_bal for any lifting
+graph: the balanced arity-ary tree for general sizes and the star for
+equal sizes. Assigning a point to class i touches row i and the rows of
+its neighbors, so an update costs O(deg(i) d) and scoring all classes
+O(k d) per row.
 """
 
 from __future__ import annotations
@@ -66,7 +55,7 @@ from .geom import (
     centroid,
     diameter_bound,
 )
-from .lifting import LiftingGraph, heap_children, heap_parent, make_graph, quadratic_form
+from .lifting import LiftingGraph, make_graph, quadratic_form, stats
 
 __all__ = [
     "CertificateError",
@@ -131,97 +120,44 @@ def _as_sizes(sizes) -> tuple[int, ...]:
     return SizeSpec(tuple(sizes)).sizes
 
 
-def _tree_height(k: int, arity: int) -> int:
-    h = 0
-    x = k - 1
-    while x > 0:
-        x = heap_parent(x, arity)
-        h += 1
-    return h
+class _TraversalState:
+    """Per-class objective ingredients for one traversal over a lifting graph.
 
-
-class _GeneralState:
-    """Objective bookkeeping when the lifting tree is the search tree."""
+    quota, deg, quota_bal and sum_bal are stored outright. Assigning a
+    point to class i changes quota_bal and sum_bal along column i of the
+    graph Laplacian: row i moves by deg[i] times the update and each
+    neighbor row by minus the update.
+    """
 
     def __init__(self, graph: LiftingGraph, sizes: tuple[int, ...], dim: int):
-        if graph.arity is None:
-            raise ValueError("general state needs a balanced arity-ary lifting tree")
         k = graph.k
-        self.graph = graph
         self.k = k
-        self.tree_arity = graph.arity
-        self.height = _tree_height(k, graph.arity)
         self.quota = np.asarray(sizes, dtype=np.int64).copy()
         self.deg = graph.degrees.astype(np.float64)
-        nbr_quota = np.array(
-            [sum(int(self.quota[j]) for j in graph.adjacency[i]) for i in range(k)],
-            dtype=np.float64,
-        )
+        self.neighbors = [np.asarray(a, dtype=np.intp) for a in graph.adjacency]
+        nbr_quota = np.array([sum(sizes[j] for j in a) for a in graph.adjacency], dtype=np.float64)
         self.quota_bal = 2.0 * (self.quota * self.deg - nbr_quota)
         self.sum_bal = np.zeros((k, dim))
-        self.size = np.ones(k, dtype=np.int64)
-        self.deg_sub = self.deg.copy()
-        self.quota_bal_sub = self.quota_bal.copy()
-        self.sum_bal_sub = np.zeros((k, dim))
-        for x in range(k - 1, 0, -1):
-            pa = heap_parent(x, self.tree_arity)
-            self.size[pa] += self.size[x]
-            self.deg_sub[pa] += self.deg_sub[x]
-            self.quota_bal_sub[pa] += self.quota_bal_sub[x]
-
-    def children(self, x: int) -> range:
-        return heap_children(x, self.tree_arity, self.k)
 
     def objective(self, i: int, coef_n: float, coef_r: float, w: np.ndarray) -> float:
         return coef_n * self.deg[i] + coef_r * self.quota_bal[i] + float(self.sum_bal[i] @ w)
 
-    def subtree_average(self, x: int, coef_n: float, coef_r: float, w: np.ndarray) -> float:
-        tot = (
-            coef_n * self.deg_sub[x]
-            + coef_r * self.quota_bal_sub[x]
-            + float(self.sum_bal_sub[x] @ w)
-        )
-        return tot / self.size[x]
-
-    def root_average(self, coef_n: float, coef_r: float, w: np.ndarray) -> float:
-        return self.subtree_average(0, coef_n, coef_r, w)
+    def objectives(self, coef_n: float, coef_r: float, w: np.ndarray) -> np.ndarray:
+        return coef_n * self.deg + coef_r * self.quota_bal + self.sum_bal @ w
 
     def weighted_average(self, coef_n: float, coef_r: float, w: np.ndarray) -> float:
         """Quota-weighted class average; equals the pre-choice expectation."""
-        s = int(self.quota.sum())
         q = self.quota.astype(np.float64)
-        tot = (
-            coef_n * float(q @ self.deg)
-            + coef_r * float(q @ self.quota_bal)
-            + float((q @ self.sum_bal) @ w)
-        )
-        return tot / s
-
-    def feasible_argmin(self, coef_n: float, coef_r: float, w: np.ndarray) -> int:
-        vals = coef_n * self.deg + coef_r * self.quota_bal + self.sum_bal @ w
-        vals = np.where(self.quota > 0, vals, np.inf)
-        best = int(np.argmin(vals))
-        if not math.isfinite(vals[best]):
-            raise InfeasibleError("size spec exhausted")
-        return best
+        return float(q @ self.objectives(coef_n, coef_r, w)) / float(q.sum())
 
     def apply(self, i: int, p: np.ndarray) -> None:
         self.quota[i] -= 1
         two_p = 2.0 * p
+        nbrs = self.neighbors[i]
         self.quota_bal[i] -= 2.0 * self.deg[i]
+        self.quota_bal[nbrs] += 2.0
         self.sum_bal[i] += self.deg[i] * two_p
-        for j in self.graph.adjacency[i]:
-            self.quota_bal[j] += 2.0
-            self.sum_bal[j] -= two_p
-        # Subtree totals: node i's subtree nets (-2, +2p) unless i is the
-        # root (then 0); each child subtree nets (+2, -2p); every ancestor
-        # subtree contains i, its children, and its parent, netting 0.
-        if i != 0:
-            self.quota_bal_sub[i] -= 2.0
-            self.sum_bal_sub[i] += two_p
-        for c in self.children(i):
-            self.quota_bal_sub[c] += 2.0
-            self.sum_bal_sub[c] -= two_p
+        self.sum_bal[nbrs] -= two_p
 
     # -- introspection used by the recomputation tests --
 
@@ -230,131 +166,6 @@ class _GeneralState:
 
     def sum_balance(self) -> np.ndarray:
         return self.sum_bal.copy()
-
-
-class _StarState:
-    """Objective bookkeeping for the star lifting with equal class sizes.
-
-    Class 0 is the hub. Leaf entries are stored relative to shared
-    offsets (q_off, s_off) so a hub assignment, which moves every leaf by
-    the same amount, costs O(d) instead of O(k d):
-
-        true quota_bal[leaf i] = qb[i] + q_off      qb[i] = 2 * quota[i]
-        true sum_bal[leaf i]   = sb[i] + s_off      sb[i] = 2 * assigned[i]
-
-    and the hub row qb[0], sb[0] is stored outright. Subtree totals over
-    the ternary search heap track only the stored parts; reads add
-    leafcnt[x] times the offsets back in.
-    """
-
-    def __init__(self, k: int, per_class: int, dim: int):
-        self.k = k
-        self.tree_arity = 3
-        self.height = _tree_height(k, 3)
-        self.quota = np.full(k, per_class, dtype=np.int64)
-        deg = np.ones(k)
-        deg[0] = k - 1
-        self.deg = deg
-        self.qb = np.full(k, 2.0 * per_class)
-        self.qb[0] = 0.0
-        self.q_off = -2.0 * per_class
-        self.sb = np.zeros((k, dim))
-        self.s_off = np.zeros(dim)
-        self._leafmask = np.ones(k)
-        self._leafmask[0] = 0.0
-        self.size = np.ones(k, dtype=np.int64)
-        self.deg_sub = self.deg.copy()
-        self.qb_sub = self.qb.copy()
-        self.sb_sub = np.zeros((k, dim))
-        for x in range(k - 1, 0, -1):
-            pa = heap_parent(x, 3)
-            self.size[pa] += self.size[x]
-            self.deg_sub[pa] += self.deg_sub[x]
-            self.qb_sub[pa] += self.qb_sub[x]
-        self.leafcnt = self.size.astype(np.float64)
-        self.leafcnt[0] -= 1.0  # the hub sits at the heap root
-
-    def children(self, x: int) -> range:
-        return heap_children(x, 3, self.k)
-
-    def objective(self, i: int, coef_n: float, coef_r: float, w: np.ndarray) -> float:
-        if i == 0:
-            return coef_n * self.deg[0] + coef_r * self.qb[0] + float(self.sb[0] @ w)
-        return (
-            coef_n
-            + coef_r * (self.qb[i] + self.q_off)
-            + float(self.sb[i] @ w)
-            + float(self.s_off @ w)
-        )
-
-    def subtree_average(self, x: int, coef_n: float, coef_r: float, w: np.ndarray) -> float:
-        lc = self.leafcnt[x]
-        tot = (
-            coef_n * self.deg_sub[x]
-            + coef_r * (self.qb_sub[x] + lc * self.q_off)
-            + float(self.sb_sub[x] @ w)
-            + lc * float(self.s_off @ w)
-        )
-        return tot / self.size[x]
-
-    def root_average(self, coef_n: float, coef_r: float, w: np.ndarray) -> float:
-        return self.subtree_average(0, coef_n, coef_r, w)
-
-    def weighted_average(self, coef_n: float, coef_r: float, w: np.ndarray) -> float:
-        """Quota-weighted class average; equals the pre-choice expectation."""
-        s = int(self.quota.sum())
-        q = self.quota.astype(np.float64)
-        leaf_q = float(q.sum() - q[0])
-        tot = (
-            coef_n * float(q @ self.deg)
-            + coef_r * (float(q @ self.qb) + leaf_q * self.q_off)
-            + float((q @ self.sb) @ w)
-            + leaf_q * float(self.s_off @ w)
-        )
-        return tot / s
-
-    def feasible_argmin(self, coef_n: float, coef_r: float, w: np.ndarray) -> int:
-        vals = (
-            coef_n * self.deg
-            + coef_r * (self.qb + self.q_off * self._leafmask)
-            + self.sb @ w
-            + float(self.s_off @ w) * self._leafmask
-        )
-        vals = np.where(self.quota > 0, vals, np.inf)
-        best = int(np.argmin(vals))
-        if not math.isfinite(vals[best]):
-            raise InfeasibleError("size spec exhausted")
-        return best
-
-    def apply(self, i: int, p: np.ndarray) -> None:
-        self.quota[i] -= 1
-        two_p = 2.0 * p
-        if i == 0:
-            km1 = float(self.k - 1)
-            self.qb[0] -= 2.0 * km1
-            self.q_off += 2.0
-            self.sb[0] += km1 * two_p
-            self.s_off -= two_p
-            self.qb_sub[0] -= 2.0 * km1
-            self.sb_sub[0] += km1 * two_p
-        else:
-            self.qb[i] -= 2.0
-            self.sb[i] += two_p
-            self.qb[0] += 2.0
-            self.sb[0] -= two_p
-            # Stored path totals change below the root only: the root's
-            # subtree nets the leaf's (-2, +2p) against the hub's (+2, -2p).
-            x = i
-            while x != 0:
-                self.qb_sub[x] -= 2.0
-                self.sb_sub[x] += two_p
-                x = heap_parent(x, 3)
-
-    def quota_balance(self) -> np.ndarray:
-        return self.qb + self.q_off * self._leafmask
-
-    def sum_balance(self) -> np.ndarray:
-        return self.sb + np.outer(self._leafmask, self.s_off)
 
 
 def step_objective(state, class_index: int, coef_n: float, coef_r: float, w) -> float:
@@ -389,37 +200,23 @@ def step_coefficients(point, t: int, prefix_sum, prefix_sq: float):
 
 
 def select_class(state, coef_n: float, coef_r: float, w) -> int:
-    """Pick a feasible class at or below the quota-weighted class average.
+    """Pick the feasible class with the smallest objective.
 
-    Descends the search tree toward small subtree means; a dead end falls
-    back to a linear scan over feasible classes that takes the smallest
-    objective (lowest index on ties). The returned class always has
-    remaining quota, and its objective never exceeds the weighted average,
-    so the running conditional expectation cannot grow.
+    A masked argmin: classes with no remaining quota score infinity and
+    the lowest index wins ties. The minimum over feasible classes never
+    exceeds their quota-weighted average, so the running conditional
+    expectation cannot grow. Raises InfeasibleError when every quota is
+    used up.
     """
-    w = np.asarray(w, dtype=np.float64)
-    coef_n = float(coef_n)
-    coef_r = float(coef_r)
-    target = state.weighted_average(coef_n, coef_r, w)
-    x = 0
-    for _ in range(state.height + 2):
-        if state.quota[x] > 0 and state.objective(x, coef_n, coef_r, w) <= target:
-            return x
-        nxt = -1
-        best = math.inf
-        for c in state.children(x):
-            avg = state.subtree_average(c, coef_n, coef_r, w)
-            if avg < best:
-                best = avg
-                nxt = c
-        if nxt < 0 or best >= target:
-            break
-        x = nxt
-    return state.feasible_argmin(coef_n, coef_r, w)
+    vals = state.objectives(float(coef_n), float(coef_r), np.asarray(w, dtype=np.float64))
+    best = int(np.argmin(np.where(state.quota > 0, vals, np.inf)))
+    if state.quota[best] <= 0:
+        raise InfeasibleError("size spec exhausted")
+    return best
 
 
 def apply_selection(state, class_index: int, point) -> None:
-    """Commit the assignment, updating per-class and subtree bookkeeping."""
+    """Commit the assignment, updating the per-class bookkeeping."""
     if not 0 <= class_index < state.k:
         raise ValueError("class index out of range")
     if state.quota[class_index] <= 0:
@@ -557,7 +354,9 @@ class CheckResult:
 
 
 def _parts_from_assign(assign: np.ndarray, k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(i) for i in np.flatnonzero(assign == c)) for c in range(k))
+    order = np.argsort(assign, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(assign, minlength=k)).tolist()
+    return tuple(tuple(order[a:b]) for a, b in zip([0] + ends[:-1], ends))
 
 
 def _assign_from_parts(parts, n: int) -> np.ndarray:
@@ -568,21 +367,37 @@ def _assign_from_parts(parts, n: int) -> np.ndarray:
     return assign
 
 
-def _part_centroids(coords: np.ndarray, parts) -> np.ndarray:
-    return np.stack([coords[list(part)].mean(axis=0) for part in parts])
+def _class_sums(rows: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class row sums and row counts, grouped in one pass.
 
-
-def _traversal_norm(coords: np.ndarray, assign: np.ndarray, graph: LiftingGraph) -> float:
-    """Norm of the mean lifted point for the given assignment.
-
-    Works on coordinates centered over the rows that took part in the
-    run, so callers pass exactly those rows.
+    Callers pass rows already centered near the origin, so the sums keep
+    their precision for inputs far from it.
     """
-    n = coords.shape[0]
-    centered = coords - coords.mean(axis=0)
-    sums = np.zeros((graph.k, coords.shape[1]))
-    np.add.at(sums, assign, centered)
-    return math.sqrt(max(quadratic_form(graph, sums), 0.0)) / n
+    sums = np.zeros((k, rows.shape[1]))
+    np.add.at(sums, assign, rows)
+    return sums, np.bincount(assign, minlength=k)
+
+
+def _part_centroids(sums: np.ndarray, counts: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Class means of rows summed relative to center.
+
+    An empty class, which only a tampered certificate has, gets 0/0 = NaN.
+    """
+    with np.errstate(invalid="ignore"):
+        return sums / counts[:, None] + center
+
+
+def _traversal_norm(sums: np.ndarray, counts: np.ndarray, graph: LiftingGraph) -> float:
+    """Norm of the mean lifted point for the given class sums.
+
+    The sums cover exactly the rows that took part in the run; they are
+    re-centered over those rows before lifting.
+    """
+    n = int(counts.sum())
+    if n == 0:
+        return 0.0
+    centered = sums - counts[:, None] * (sums.sum(axis=0) / n)
+    return math.sqrt(max(quadratic_form(graph, centered), 0.0)) / n
 
 
 def _graph_for_mode(mode: str, k: int, arity: int | None) -> LiftingGraph:
@@ -626,7 +441,12 @@ def check_certificate(cert: TverbergCertificate, points: PointSet) -> list[Check
     if flat != list(range(n)):
         return checks  # nothing else is well defined
 
-    cents = _part_centroids(coords, cert.parts)
+    assign = _assign_from_parts(cert.parts, n)
+    n0 = (n // k) * k if cert.mode == "nearly_balanced" else n
+    center = coords.mean(axis=0)
+    run_sums, run_counts = _class_sums(coords[:n0] - center, assign[:n0], k)
+    tail_sums, tail_counts = _class_sums(coords[n0:] - center, assign[n0:], k)
+    cents = _part_centroids(run_sums + tail_sums, run_counts + tail_counts, center)
     cent_err = float(np.abs(cents - cert.part_centroids).max())
     add("part_centroids_match", cent_err <= REL_SLACK * scale + ABS_GUARD, f"max err {cent_err:.3e}")
 
@@ -651,38 +471,24 @@ def check_certificate(cert: TverbergCertificate, points: PointSet) -> list[Check
     diam_err = abs(diam_recomputed - cert.diameter_used)
     add("diameter_matches", diam_err <= REL_SLACK * scale + ABS_GUARD, f"err {diam_err:.3e}")
 
+    graph = _graph_for_mode(cert.mode, k, cert.arity)
     if cert.mode == "general":
         use_arity = cert.arity if cert.arity else 4
-        gstats = None
-        if use_arity != 4:
-            from .lifting import stats
-
-            gstats = stats(_graph_for_mode("general", k, use_arity))
+        gstats = stats(graph) if use_arity != 4 else None
         guar = radius_bound(
             "general", n, k, cert.sizes, cert.diameter_used, graph_stats=gstats, arity=use_arity
         )
+        bound = traversal_norm_bound("general", n, k, cert.diameter_used, int(graph.degrees.max()))
     else:
         guar = radius_bound(cert.mode, n, k, diam=cert.diameter_used)
+        bound = traversal_norm_bound(cert.mode, n0, k, cert.diameter_used)
     add(
         "guarantee_formula",
         abs(guar - cert.radius_guaranteed) <= REL_SLACK * max(guar, 1.0) + ABS_GUARD,
         f"recomputed {guar!r} stored {cert.radius_guaranteed!r}",
     )
 
-    graph = _graph_for_mode(cert.mode, k, cert.arity)
-    if cert.mode == "nearly_balanced":
-        n0 = (n // k) * k
-        assign = _assign_from_parts(cert.parts, n)[:n0]
-        norm = _traversal_norm(coords[:n0], assign, graph)
-        bound = traversal_norm_bound(cert.mode, n0, k, cert.diameter_used)
-    else:
-        assign = _assign_from_parts(cert.parts, n)
-        norm = _traversal_norm(coords, assign, graph)
-        if cert.mode == "general":
-            maxdeg = max(graph.degree(i) for i in range(k))
-            bound = traversal_norm_bound("general", n, k, cert.diameter_used, maxdeg)
-        else:
-            bound = traversal_norm_bound("balanced", n, k, cert.diameter_used)
+    norm = _traversal_norm(run_sums, run_counts, graph)
     add(
         "traversal_norm_matches",
         abs(norm - cert.traversal_centroid_norm) <= REL_SLACK * scale + ABS_GUARD,
@@ -738,21 +544,17 @@ def partition_general(
     graph = make_graph("balanced_ary", k, arity)
     center = centroid(pts)
     centered = pts.coords - center
-    assign = _traverse(centered, _GeneralState(graph, sizes, d))
+    assign = _traverse(centered, _TraversalState(graph, sizes, d))
 
     parts = _parts_from_assign(assign, k)
-    cents = _part_centroids(pts.coords, parts)
+    sums, counts = _class_sums(centered, assign, k)
+    cents = _part_centroids(sums, counts, center)
     diam, diam_exact = diameter_bound(pts, diameter_exact_threshold)
-    gstats = None
-    if arity != 4:
-        from .lifting import stats
-
-        gstats = stats(graph)
+    gstats = stats(graph) if arity != 4 else None
     guaranteed = radius_bound("general", n, k, sizes, diam, graph_stats=gstats, arity=arity)
     achieved = float(np.sqrt(((cents - center) ** 2).sum(axis=1)).max())
-    norm = _traversal_norm(pts.coords, assign, graph)
-    maxdeg = max(graph.degree(i) for i in range(k))
-    bound = traversal_norm_bound("general", n, k, diam, maxdeg)
+    norm = _traversal_norm(sums, counts, graph)
+    bound = traversal_norm_bound("general", n, k, diam, int(graph.degrees.max()))
 
     cert = TverbergCertificate(
         mode="general",
@@ -792,17 +594,18 @@ def partition_balanced(
             "class count must divide the point count; use partition_nearly_balanced otherwise"
         )
 
+    graph = make_graph("star", k)
     center = centroid(pts)
     centered = pts.coords - center
-    assign = _traverse(centered, _StarState(k, n // k, d))
+    assign = _traverse(centered, _TraversalState(graph, (n // k,) * k, d))
 
     parts = _parts_from_assign(assign, k)
-    cents = _part_centroids(pts.coords, parts)
+    sums, counts = _class_sums(centered, assign, k)
+    cents = _part_centroids(sums, counts, center)
     diam, diam_exact = diameter_bound(pts, diameter_exact_threshold)
     guaranteed = radius_bound("balanced", n, k, diam=diam)
     achieved = float(np.sqrt(((cents - cents[0]) ** 2).sum(axis=1)).max())
-    graph = make_graph("star", k)
-    norm = _traversal_norm(pts.coords, assign, graph)
+    norm = _traversal_norm(sums, counts, graph)
     bound = traversal_norm_bound("balanced", n, k, diam)
 
     cert = TverbergCertificate(
@@ -845,20 +648,21 @@ def partition_nearly_balanced(
     m = n // k
     n0 = m * k
     sub = pts.coords[:n0]
-    centered = sub - sub.mean(axis=0)
-    assign = _traverse(centered, _StarState(k, m, d))
+    graph = make_graph("star", k)
+    center = sub.mean(axis=0)
+    centered = sub - center
+    assign = _traverse(centered, _TraversalState(graph, (m,) * k, d))
+    sums, counts = _class_sums(centered, assign, k)
+    norm = _traversal_norm(sums, counts, graph)
 
-    parts = [list(np.flatnonzero(assign == c)) for c in range(k)]
-    for j in range(n - n0):
-        parts[j].append(n0 + j)
-    parts = tuple(tuple(int(i) for i in part) for part in parts)
-
-    cents = _part_centroids(pts.coords, parts)
+    assign = np.concatenate([assign, np.arange(n - n0)])
+    parts = _parts_from_assign(assign, k)
+    sums[: n - n0] += pts.coords[n0:] - center
+    counts[: n - n0] += 1
+    cents = _part_centroids(sums, counts, center)
     diam, diam_exact = diameter_bound(pts, diameter_exact_threshold)
     guaranteed = radius_bound("nearly_balanced", n, k, diam=diam)
     achieved = float(np.sqrt(((cents - cents[0]) ** 2).sum(axis=1)).max())
-    graph = make_graph("star", k)
-    norm = _traversal_norm(sub, assign, graph)
     bound = traversal_norm_bound("nearly_balanced", n0, k, diam)
 
     cert = TverbergCertificate(

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from tverberg_nd import tverberg as tv
 from tverberg_nd.geom import PointSet
-from tverberg_nd.lifting import heap_children, make_graph, quadratic_form, stats
+from tverberg_nd.lifting import make_custom_graph, make_graph, quadratic_form, stats
 from tverberg_nd.oracle import enumerate_traversals
 from tverberg_nd.tverberg import (
     InfeasibleError,
@@ -107,7 +108,7 @@ def _brute_mean(graph, sums, rows, quota):
     return total / count
 
 
-@pytest.mark.parametrize("layout", ["general", "star"])
+@pytest.mark.parametrize("layout", ["general", "star", "triangle"])
 def test_step_objective_matches_exhaustive_conditional_expectation(layout):
     """Replay a full run against enumerated conditional expectations.
 
@@ -121,11 +122,13 @@ def test_step_objective_matches_exhaustive_conditional_expectation(layout):
     if layout == "general":
         sizes = (3, 2, 1)
         graph = make_graph("balanced_ary", 3, 4)
-        state = tv._GeneralState(graph, sizes, 2)
-    else:
+    elif layout == "star":
         sizes = (2, 2, 2)
         graph = make_graph("star", 3)
-        state = tv._StarState(3, 2, 2)
+    else:
+        sizes = (2, 2, 2)
+        graph = make_custom_graph(3, ((0, 1), (1, 2), (0, 2)))
+    state = tv._TraversalState(graph, sizes, 2)
     n = sum(sizes)
     coords = rng.standard_normal((n, 2))
     centered = coords - coords.mean(axis=0)
@@ -179,7 +182,7 @@ def test_step_coefficients_last_row():
 
 
 def test_step_objective_rejects_bad_class():
-    state = tv._StarState(3, 2, 2)
+    state = tv._TraversalState(make_graph("star", 3), (2, 2, 2), 2)
     with pytest.raises(ValueError):
         step_objective(state, 3, 1.0, 0.0, np.zeros(2))
     with pytest.raises(ValueError):
@@ -187,21 +190,45 @@ def test_step_objective_rejects_bad_class():
 
 
 def test_apply_selection_respects_quota():
-    state = tv._StarState(2, 1, 1)
+    state = tv._TraversalState(make_graph("star", 2), (1, 1), 1)
     apply_selection(state, 1, np.ones(1))
     with pytest.raises(InfeasibleError):
         apply_selection(state, 1, np.ones(1))
 
 
+def test_select_class_is_masked_argmin():
+    state = tv._TraversalState(make_graph("star", 4), (1, 2, 2, 2), 1)
+    w = np.zeros(1)
+    assert select_class(state, 0.0, 0.0, w) == 0  # all objectives equal: lowest index
+    apply_selection(state, 0, np.zeros(1))
+    assert select_class(state, 0.0, 0.0, w) == 1  # the exhausted class drops out of the tie
+    # the exhausted hub scores -3 against -1 for each leaf, yet is skipped
+    assert select_class(state, -1.0, 0.0, w) == 1
+    apply_selection(state, 2, np.ones(1))
+    assert state.quota_balance().tolist() == [-10.0, 4.0, 2.0, 4.0]
+    assert select_class(state, 0.0, 1.0, w) == 2  # smallest feasible, not smallest overall
+
+    exhausted = tv._TraversalState(make_graph("star", 3), (0, 0, 0), 1)
+    with pytest.raises(InfeasibleError):
+        select_class(exhausted, 1.0, 0.0, w)
+
+
 # ------------------------------------------------------------ state upkeep
 
 
-def test_general_state_invariants_after_random_applies():
-    rng = np.random.default_rng(13)
-    k, d = 13, 3
-    sizes = rng.integers(20, 60, k)
-    graph = make_graph("balanced_ary", k, 4)
-    state = tv._GeneralState(graph, tuple(int(s) for s in sizes), d)
+@pytest.mark.parametrize("kind", ["balanced_ary", "star"])
+def test_state_invariants_after_random_applies(kind):
+    if kind == "balanced_ary":
+        rng = np.random.default_rng(13)
+        k, d, every, atol = 13, 3, 97, 1e-9
+        sizes = rng.integers(20, 60, k)
+        graph = make_graph("balanced_ary", k, 4)
+    else:
+        rng = np.random.default_rng(14)
+        k, d, every, atol = 9, 2, 41, 1e-8
+        sizes = np.full(k, 40)
+        graph = make_graph("star", k)
+    state = tv._TraversalState(graph, tuple(int(s) for s in sizes), d)
     quota = sizes.astype(np.int64).copy()
     assigned = np.zeros((k, d))
     deg = graph.degrees.astype(np.float64)
@@ -211,58 +238,22 @@ def test_general_state_invariants_after_random_applies():
         apply_selection(state, i, p)
         quota[i] -= 1
         assigned[i] += p
-        if step % 97 == 0 or quota.sum() == 0:
+        if step % every == 0 or quota.sum() == 0:
             nbr_q = np.array([quota[list(graph.adjacency[j])].sum() for j in range(k)], np.float64)
             nbr_a = np.stack([assigned[list(graph.adjacency[j])].sum(axis=0) for j in range(k)])
-            assert np.allclose(state.quota_balance(), 2.0 * (quota * deg - nbr_q), atol=1e-9)
+            assert np.allclose(state.quota_balance(), 2.0 * (quota * deg - nbr_q), atol=atol)
             assert np.allclose(
-                state.sum_balance(), 2.0 * (deg[:, None] * assigned - nbr_a), atol=1e-9
+                state.sum_balance(), 2.0 * (deg[:, None] * assigned - nbr_a), atol=atol
             )
 
 
-def test_star_state_invariants_after_random_applies():
-    rng = np.random.default_rng(14)
-    k, per, d = 9, 40, 2
-    state = tv._StarState(k, per, d)
-    graph = make_graph("star", k)
-    quota = np.full(k, per, dtype=np.int64)
-    assigned = np.zeros((k, d))
-    deg = graph.degrees.astype(np.float64)
-    for step in range(k * per):
-        i = int(rng.choice(np.flatnonzero(quota > 0)))
-        p = rng.standard_normal(d)
-        apply_selection(state, i, p)
-        quota[i] -= 1
-        assigned[i] += p
-        if step % 41 == 0 or quota.sum() == 0:
-            nbr_q = np.array([quota[list(graph.adjacency[j])].sum() for j in range(k)], np.float64)
-            nbr_a = np.stack([assigned[list(graph.adjacency[j])].sum(axis=0) for j in range(k)])
-            assert np.allclose(state.quota_balance(), 2.0 * (quota * deg - nbr_q), atol=1e-8)
-            assert np.allclose(
-                state.sum_balance(), 2.0 * (deg[:, None] * assigned - nbr_a), atol=1e-8
-            )
-
-
-def _subtree(x, arity, k):
-    out = [x]
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for c in heap_children(y, arity, k):
-                out.append(c)
-                nxt.append(c)
-        frontier = nxt
-    return out
-
-
-def test_subtree_and_weighted_averages_match_direct_means():
+def test_weighted_average_and_pick_match_direct_means():
     rng = np.random.default_rng(21)
-    gen = tv._GeneralState(
+    gen = tv._TraversalState(
         make_graph("balanced_ary", 11, 4), tuple(int(v) for v in rng.integers(3, 9, 11)), 2
     )
-    star = tv._StarState(9, 5, 2)
-    for state, arity in ((gen, 4), (star, 3)):
+    star = tv._TraversalState(make_graph("star", 9), (5,) * 9, 2)
+    for state in (gen, star):
         for _ in range(30):
             i = int(rng.choice(np.flatnonzero(state.quota > 0)))
             state.apply(i, rng.standard_normal(2))
@@ -270,10 +261,6 @@ def test_subtree_and_weighted_averages_match_direct_means():
             cn, cr = (float(v) for v in rng.standard_normal(2))
             w = rng.standard_normal(2)
             objs = np.array([state.objective(i, cn, cr, w) for i in range(state.k)])
-            for x in range(state.k):
-                want = float(objs[_subtree(x, arity, state.k)].mean())
-                got = state.subtree_average(x, cn, cr, w)
-                assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
             q = state.quota.astype(np.float64)
             want_w = float(q @ objs) / float(q.sum())
             got_w = state.weighted_average(cn, cr, w)
@@ -440,6 +427,28 @@ def test_checker_flags_tampering():
     drift = dataclasses.replace(cert, traversal_centroid_norm=cert.traversal_centroid_norm + 1.0)
     names = {c.name for c in check_certificate(drift, pts) if not c.ok}
     assert "traversal_norm_matches" in names
+
+    parts = [list(p) for p in cert.parts]
+    parts[0] += parts[4]
+    parts[4] = []
+    emptied = dataclasses.replace(cert, parts=tuple(tuple(p) for p in parts))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        names = {c.name for c in check_certificate(emptied, pts) if not c.ok}
+    assert {"part_sizes_match", "part_centroids_match", "radius_achieved_matches"} <= names
+
+    doubled = dataclasses.replace(cert, parts=cert.parts[:4] + (cert.parts[3],))
+    names = {c.name for c in check_certificate(doubled, pts) if not c.ok}
+    assert "partition_covers_input" in names
+
+    # more parts than rows: the nearly balanced run would have had no rows
+    few = PointSet(pts.coords[:3])
+    small = partition_nearly_balanced(few, 2)
+    spread = dataclasses.replace(
+        small, parts=((0,), (1,), (2,), ()), part_centroids=np.zeros((4, 3))
+    )
+    names = {c.name for c in check_certificate(spread, few) if not c.ok}
+    assert {"part_sizes_match", "traversal_norm_matches"} <= names
 
 
 @settings(deadline=None, max_examples=25)
