@@ -40,7 +40,6 @@ from .hamsandwich import (
     generalized_ham_sandwich,
     product_set,
 )
-from .lifting import LiftingGraph  # noqa: F401  (re-exported for scripting convenience)
 from .tverberg import (
     InfeasibleError,
     TverbergCertificate,
@@ -393,6 +392,13 @@ def _hamsandwich_from_doc(doc: dict) -> DepthCertificate:
     )
 
 
+_DECODERS = {
+    "tverberg": _tverberg_from_doc,
+    "colorful": _colorful_from_doc,
+    "hamsandwich": _hamsandwich_from_doc,
+}
+
+
 # -------------------------------------------------------------------- SVG
 
 PALETTE = [
@@ -457,6 +463,13 @@ def render_svg(points: np.ndarray, labels, centroids: np.ndarray, ball: Ball) ->
 # ----------------------------------------------------------------- timing
 
 
+def _int_list(text: str, option: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ParseError(option, f"expected comma-separated integers, got {text!r}") from None
+
+
 def _timed(flag: bool, fn, *args, **kwargs):
     t0 = time.perf_counter()
     result = fn(*args, **kwargs)
@@ -471,7 +484,7 @@ def cmd_tverberg(args) -> int:
     pts = load_points(args.input)
     digest = _digest(args.input)
     if args.sizes:
-        sizes = [int(s) for s in args.sizes.split(",")]
+        sizes = _int_list(args.sizes, "--sizes")
         cert, ms = _timed(args.timing, partition_general, pts, sizes, args.arity)
     else:
         if args.k is None:
@@ -520,7 +533,7 @@ def cmd_colorful(args) -> int:
 def cmd_hamsandwich(args) -> int:
     sets = [load_points(path) for path in args.inputs]
     digests = [_digest(path) for path in args.inputs]
-    m = [int(v) for v in args.m.split(",")]
+    m = _int_list(args.m, "--m")
     cert, ms = _timed(args.timing, generalized_ham_sandwich, sets, m)
     _write_doc(_hamsandwich_doc(cert, digests, ms), args.out)
     bounds = ",".join(str(b) for b in cert.depth_lower_bounds)
@@ -543,6 +556,8 @@ def _print_checks(checks) -> bool:
 
 def cmd_verify(args) -> int:
     doc = _load_json(args.certificate)
+    if not isinstance(doc, dict):
+        raise ParseError(args.certificate, "a certificate must be a JSON object")
     if doc.get("schema") != SCHEMA:
         raise ParseError(args.certificate, f"unknown schema {doc.get('schema')!r}")
     command = doc.get("command")
@@ -557,17 +572,18 @@ def cmd_verify(args) -> int:
         print(f"digest mismatch: certificate has {stored}, input is {actual}", file=sys.stderr)
         return EXIT_DIGEST
 
+    if command not in _DECODERS:
+        raise ParseError(args.certificate, f"unknown command {command!r}")
+    try:
+        cert = _DECODERS[command](doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(args.certificate, f"malformed certificate: {exc!r}") from exc
     if command == "tverberg":
-        cert = _tverberg_from_doc(doc)
         checks = check_certificate(cert, load_points(args.inputs[0]))
     elif command == "colorful":
-        cert = _colorful_from_doc(doc)
         checks = check_colorful_certificate(cert, load_classes(args.inputs[0]))
-    elif command == "hamsandwich":
-        cert = _hamsandwich_from_doc(doc)
-        checks = check_depth_certificate(cert, [load_points(p) for p in args.inputs])
     else:
-        raise ParseError(args.certificate, f"unknown command {command!r}")
+        checks = check_depth_certificate(cert, [load_points(p) for p in args.inputs])
     return EXIT_OK if _print_checks(checks) else EXIT_CHECK_FAILED
 
 

@@ -33,7 +33,9 @@ DEGENERATE_DIRECTION_TOL = 1e-12
 # beyond it the 2-approximation around the centroid is used instead.
 DIAMETER_EXACT_DEFAULT_THRESHOLD = 4096
 
-_PAIR_BLOCK = 64  # rows per block in the pairwise diameter scan
+# Byte budget for the temporaries of one step of the exact diameter scan:
+# a block of Gram estimates, or a chunk of rescored difference vectors.
+_SCAN_BYTES = 1 << 20
 
 
 def as_point(p) -> np.ndarray:
@@ -144,21 +146,81 @@ def centroid(points, compensated: bool = False) -> np.ndarray:
 
 
 def diameter_exact(points) -> float:
-    """Largest pairwise distance, by blocked O(n^2 d) scan."""
+    """Largest pairwise distance, by a streamed O(n^2 d) Gram scan.
+
+    The value is exact in a strict sense: it is ``sqrt(max f_ij)`` bit
+    for bit, where ``f_ij = einsum(diff, diff)`` with ``diff = x_i - x_j``
+    is the plain per-pair formula on the raw rows (the reference scan
+    ``oracle.diameter_pairwise`` computes every f_ij).
+
+    The rows are translated by row 0, ``c_i = x_i - x_0``, and
+    ``s_i = |c_i|^2``. For each block of rows one GEMM gives the estimates
+    ``e_ij = s_i + s_j - 2 c_i.c_j`` against every later row. A block is
+    kept only where ``e_ij >= max(best - delta, top - 2 delta)``, with
+    ``best`` the largest f_ij rescored so far, ``top`` the block's largest
+    estimate and delta a bound on ``|e_ij - f_ij|`` that holds for every
+    pair. The rows and columns holding a kept pair are rescored with the
+    formula, as a rectangle: that rescores extra pairs, but each one is
+    a genuine f_ij, so the maximum stays exact. The maximizing pair p of
+    f is never dropped: ``e_p >= f_p - delta >= best - delta``, and for
+    every q in its block ``e_p >= f_q - delta >= e_q - 2 delta``.
+
+    The bound, with u = 2^-53, gamma_m = m u / (1 - m u), S = max s_i and
+    T = max |c_i|^2 <= S (1 + gamma_d), to first order in u:
+
+    * f_ij rounds each of its d non-negative terms three times and adds
+      them in some order, so ``|f_ij - D| <= gamma_(d+2) D`` with
+      ``D = |x_i - x_j|^2 <= 4T``: at most (4d + 8) u T.
+    * Translation rounds each coordinate once, so the difference of
+      c_i and c_j is off from x_i - x_j by at most ``u (|c_i| + |c_j|)``
+      in norm, and their squared lengths differ by at most 8 u T.
+    * s_i, s_j and the GEMM dot product each err by at most gamma_d T
+      (any summation order, with or without FMA); the sum and the
+      difference forming e_ij add 2 u T and 4 u T: at most (4d + 6) u T.
+
+    Together ``|e_ij - f_ij| <= (8d + 22) u T``. Products that underflow
+    add at most ``5d 2^-1075``. ``delta = (d + 4) 2^-49 S + (d + 4)
+    2^-1070`` is at least twice the sum, which also covers the rounding
+    of the threshold arithmetic. If ``8 S`` overflows, delta is infinite
+    and every pair is rescored; otherwise no e_ij or f_ij overflows.
+
+    Each step's temporaries stay within ``_SCAN_BYTES``, or within one
+    rescored rectangle row of at most n d floats where that is larger.
+    Inputs with many exact ties, such as duplicated clusters, thus cost
+    the budget in memory and at most one full pairwise pass in time.
+    """
     arr = _coords(points)
-    n = arr.shape[0]
+    n, d = arr.shape
     if n == 0:
         raise ValueError("empty point set")
-    if n == 1:
-        return 0.0
+    c = arr - arr[0]
+    if not c.any():
+        return 0.0  # every row equals row 0
+    sq = np.einsum("ij,ij->i", c, c)
+    s_max = float(sq.max())
+    delta = (d + 4) * (2.0**-49 * s_max + 2.0**-1070)
+    if not 8.0 * s_max < math.inf:
+        delta = math.inf
+    rows = max(1, _SCAN_BYTES // (8 * n))
     best = 0.0
-    for lo in range(0, n, _PAIR_BLOCK):
-        block = arr[lo : lo + _PAIR_BLOCK]
-        diff = block[:, None, :] - arr[None, lo:, :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
-        m = float(sq.max())
-        if m > best:
-            best = m
+    with np.errstate(over="ignore", invalid="ignore"):  # only where delta = inf
+        for lo in range(0, n, rows):
+            est = c[lo : lo + rows] @ c[lo:].T
+            est *= -2.0
+            est += sq[lo : lo + rows, None]
+            est += sq[lo:]
+            top = float(est.max())
+            floor = best - delta
+            if top < floor:
+                continue
+            keep = ~(est < max(floor, top - 2.0 * delta))
+            del est
+            r = np.flatnonzero(keep.any(axis=1)) + lo
+            cols = arr[np.flatnonzero(keep.any(axis=0)) + lo]
+            step = max(1, _SCAN_BYTES // (8 * d * cols.shape[0]))
+            for s in range(0, r.size, step):
+                diff = arr[r[s : s + step], None, :] - cols[None, :, :]
+                best = max(best, float(np.einsum("ijk,ijk->ij", diff, diff).max()))
     return math.sqrt(best)
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "EnumerationReport",
     "ExplicitLift",
     "depth_2d_exact",
+    "diameter_pairwise",
     "dist_to_hull",
     "enumerate_colorful",
     "enumerate_traversals",
@@ -204,6 +205,29 @@ def enumerate_colorful(classes, graph: LiftingGraph | None = None) -> Enumeratio
             best = sq
             best_assign = shifts
     return EnumerationReport(count, total / count, best, best_assign)
+
+
+def diameter_pairwise(points) -> float:
+    """Largest pairwise distance, by a blocked scan over every pair.
+
+    Materializes the difference vectors of 64 rows against all later rows
+    per step; ``geom.diameter_exact`` must return exactly this value.
+    """
+    arr = points.coords if isinstance(points, PointSet) else PointSet(points).coords
+    n = arr.shape[0]
+    if n == 0:
+        raise ValueError("empty point set")
+    if n == 1:
+        return 0.0
+    best = 0.0
+    for lo in range(0, n, 64):
+        block = arr[lo : lo + 64]
+        diff = block[:, None, :] - arr[None, lo:, :]
+        sq = np.einsum("ijk,ijk->ij", diff, diff)
+        m = float(sq.max())
+        if m > best:
+            best = m
+    return math.sqrt(best)
 
 
 def dist_to_hull(x, points, tol: float | None = None) -> float:

@@ -208,6 +208,35 @@ def test_verify_digest_and_tamper_exit_codes(tmp_path, capsys):
     assert cli.main(["verify", not_json, str(data)]) == cli.EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["sizes_not_integer", "m_not_integer", "top_level_list", "parts_missing", "parts_not_indices"],
+)
+def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
+    data = tmp_path / "pts.csv"
+    cli.main(["gen", "--n", "24", "--d", "2", "--seed", "1", "--out", str(data)])
+    out = tmp_path / "c.json"
+    cli.main(["tverberg", str(data), "--k", "4", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    bad = tmp_path / "bad.json"
+    capsys.readouterr()
+    if case == "sizes_not_integer":
+        argv = ["tverberg", str(data), "--sizes", "10,a", "--out", str(bad)]
+    elif case == "m_not_integer":
+        argv = ["hamsandwich", str(data), str(data), "--m", "5,a", "--out", str(bad)]
+    else:
+        edits = {
+            "top_level_list": lambda d: [d],
+            "parts_missing": lambda d: {k: v for k, v in d.items() if k != "parts"},
+            "parts_not_indices": lambda d: {**d, "parts": ["x"]},
+        }
+        bad.write_bytes(cli.emit_document(edits[case](doc)))
+        argv = ["verify", str(bad), str(data)]
+    assert cli.main(argv) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "Traceback" not in err
+
+
 def test_timing_flag_controls_timing_field(tmp_path):
     data = tmp_path / "pts.csv"
     cli.main(["gen", "--n", "20", "--d", "2", "--seed", "4", "--out", str(data)])
