@@ -98,6 +98,18 @@ def _load_json(path: str) -> dict:
         raise ParseError(path, exc.msg, exc.lineno) from exc
 
 
+def _check_dim(path: str, doc: dict, width: int) -> None:
+    """An optional "dim" field must be an integer equal to the point width."""
+    if "dim" not in doc:
+        return
+    try:
+        dim = int(doc["dim"])
+    except (TypeError, ValueError):
+        raise ParseError(path, f"dim field is not an integer: {doc['dim']!r}") from None
+    if dim != width:
+        raise ParseError(path, "dim field does not match point width")
+
+
 def load_points(path: str) -> PointSet:
     """Read a point set from CSV (one row per point) or JSON."""
     if _looks_like_json(path):
@@ -110,8 +122,7 @@ def load_points(path: str) -> PointSet:
             raise ParseError(path, f"points are not rectangular numbers: {exc}") from exc
         if arr.ndim != 2:
             raise ParseError(path, "points must form a 2-d array")
-        if "dim" in doc and int(doc["dim"]) != arr.shape[1]:
-            raise ParseError(path, "dim field does not match point width")
+        _check_dim(path, doc, arr.shape[1])
         if not np.isfinite(arr).all():
             raise ParseError(path, "points must be finite")
         return PointSet(arr)
@@ -159,8 +170,7 @@ def load_classes(path: str) -> ColorInstance:
         raise ParseError(path, f"classes are not rectangular: {exc}") from exc
     if arr.ndim != 3:
         raise InfeasibleError("every class needs the same number of points")
-    if "dim" in doc and int(doc["dim"]) != arr.shape[2]:
-        raise ParseError(path, "dim field does not match point width")
+    _check_dim(path, doc, arr.shape[2])
     if not np.isfinite(arr).all():
         raise ParseError(path, "points must be finite")
     return ColorInstance(arr)
@@ -214,11 +224,9 @@ def _ball_doc(center, guaranteed: float, achieved: float) -> dict:
     }
 
 
-def _tverberg_doc(cert: TverbergCertificate, digest: str, timing_ms: float | None) -> dict:
+def _tverberg_body(cert: TverbergCertificate) -> dict:
+    """Fields of a Tverberg document, shared with each ham-sandwich per-set entry."""
     return {
-        "schema": SCHEMA,
-        "command": "tverberg",
-        "input_digest": digest,
         "mode": cert.mode,
         "parameters": {
             "k": cert.k,
@@ -235,11 +243,23 @@ def _tverberg_doc(cert: TverbergCertificate, digest: str, timing_ms: float | Non
         },
         "diameter_used": cert.diameter_used,
         "diameter_exact": cert.diameter_exact,
+    }
+
+
+def _tverberg_doc(cert: TverbergCertificate, digest: str, timing_ms: float | None) -> dict:
+    return {
+        "schema": SCHEMA,
+        "command": "tverberg",
+        "input_digest": digest,
+        **_tverberg_body(cert),
         "timing_ms": timing_ms,
     }
 
 
 def _tverberg_from_doc(doc: dict) -> TverbergCertificate:
+    """Decode the fields _tverberg_body writes; an unknown mode is a ValueError."""
+    if doc["mode"] not in BOUND_NAMES:
+        raise ValueError(f"unknown mode {doc['mode']!r}")
     ball = doc["ball"]
     return TverbergCertificate(
         mode=doc["mode"],
@@ -290,24 +310,6 @@ def _colorful_from_doc(doc: dict) -> ColorfulCertificate:
 
 
 def _hamsandwich_doc(cert: DepthCertificate, digests: list[str], timing_ms: float | None) -> dict:
-    sub_docs = []
-    for sub in cert.per_set:
-        sub_docs.append(
-            {
-                "mode": sub.mode,
-                "parameters": {"k": sub.k, "sizes": list(sub.sizes), "arity": sub.arity},
-                "parts": [list(p) for p in sub.parts],
-                "part_centroids": sub.part_centroids,
-                "ball": _ball_doc(sub.ball.center, sub.radius_guaranteed, sub.radius_achieved),
-                "bound": {
-                    "name": BOUND_NAMES[sub.mode],
-                    "traversal_centroid_norm": sub.traversal_centroid_norm,
-                    "traversal_norm_bound": sub.traversal_norm_bound,
-                },
-                "diameter_used": sub.diameter_used,
-                "diameter_exact": sub.diameter_exact,
-            }
-        )
     return {
         "schema": SCHEMA,
         "command": "hamsandwich",
@@ -333,7 +335,7 @@ def _hamsandwich_doc(cert: DepthCertificate, digests: list[str], timing_ms: floa
         "set_diameters": list(cert.set_diameters),
         "set_diameters_exact": list(cert.set_diameters_exact),
         "oracle_depths": None if cert.oracle_depths is None else list(cert.oracle_depths),
-        "per_set": sub_docs,
+        "per_set": [_tverberg_body(sub) for sub in cert.per_set],
         "timing_ms": timing_ms,
     }
 
@@ -341,27 +343,6 @@ def _hamsandwich_doc(cert: DepthCertificate, digests: list[str], timing_ms: floa
 def _hamsandwich_from_doc(doc: dict) -> DepthCertificate:
     from .geom import LineThroughOrigin
 
-    subs = []
-    for sd in doc["per_set"]:
-        ball = sd["ball"]
-        subs.append(
-            TverbergCertificate(
-                mode=sd["mode"],
-                sizes=tuple(int(r) for r in sd["parameters"]["sizes"]),
-                arity=None if sd["parameters"]["arity"] is None else int(sd["parameters"]["arity"]),
-                parts=tuple(tuple(int(i) for i in part) for part in sd["parts"]),
-                part_centroids=np.asarray(sd["part_centroids"], dtype=np.float64),
-                ball=Ball(
-                    np.asarray(ball["center"], dtype=np.float64), float(ball["radius_guaranteed"])
-                ),
-                radius_guaranteed=float(ball["radius_guaranteed"]),
-                radius_achieved=float(ball["radius_achieved"]),
-                traversal_centroid_norm=float(sd["bound"]["traversal_centroid_norm"]),
-                traversal_norm_bound=float(sd["bound"]["traversal_norm_bound"]),
-                diameter_used=float(sd["diameter_used"]),
-                diameter_exact=bool(sd["diameter_exact"]),
-            )
-        )
     dim = int(doc["parameters"]["dim"])
     chain = ProjectionChain(
         axes_local=tuple(np.asarray(a, dtype=np.float64) for a in doc["axes_local"]),
@@ -381,7 +362,7 @@ def _hamsandwich_from_doc(doc: dict) -> DepthCertificate:
         product=product_set(chain, ball, translation),
         m=tuple(int(v) for v in doc["parameters"]["m"]),
         depth_lower_bounds=tuple(int(v) for v in doc["depth_lower_bounds"]),
-        per_set=tuple(subs),
+        per_set=tuple(_tverberg_from_doc(sd) for sd in doc["per_set"]),
         constructive_radius=float(doc["constructive_radius"]),
         existential_radius=float(doc["existential_radius"]),
         set_diameters=tuple(float(v) for v in doc["set_diameters"]),
@@ -660,11 +641,11 @@ def run_bench_colorful(k_grid, n_classes: int, d: int, reps: int, seed: int = 12
 
 def cmd_bench(args) -> int:
     if args.algo == "tverberg":
-        grid = [int(v) for v in args.n_grid.split(",")]
+        grid = _int_list(args.n_grid, "--n-grid")
         rows, expo = run_bench_tverberg(grid, args.k, args.d, args.reps)
         label = "n"
     else:
-        grid = [int(v) for v in args.k_grid.split(",")]
+        grid = _int_list(args.k_grid, "--k-grid")
         rows, expo = run_bench_colorful(grid, args.n, args.d, args.reps)
         label = "k"
     print(f"{label:>10}  median_ms")

@@ -359,6 +359,8 @@ def check_depth_certificate(cert: DepthCertificate, sets) -> list[CheckResult]:
     cover_slack = CENTERED_TOL * scale + REL_SLACK * max(cert.ball.radius, 1.0) + ABS_GUARD
     worst = 0.0
     for q, sub in zip(projected, cert.per_set):
+        if not sub.parts:
+            continue  # its set{i}_partition_certificate check has failed
         cents = np.stack([q[list(part)].mean(axis=0) for part in sub.parts])
         worst = max(worst, float(np.sqrt(((cents - cert.ball.center) ** 2).sum(axis=1)).max()))
     add(

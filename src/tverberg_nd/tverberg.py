@@ -39,6 +39,13 @@ graph: the balanced arity-ary tree for general sizes and the star for
 equal sizes. Assigning a point to class i touches row i and the rows of
 its neighbors, so an update costs O(deg(i) d) and scoring all classes
 O(k d) per row.
+
+Equal, nearly equal and prescribed sizes share one builder. They differ
+only in the lifting graph (star or balanced tree), in the rows the
+traversal places (the first n - n mod k for nearly equal sizes, whose
+leftovers go to parts 0, 1, ... round-robin; all n otherwise) and in the
+guarantee formula, which the builder and check_certificate read from one
+dispatch.
 """
 
 from __future__ import annotations
@@ -52,7 +59,6 @@ from .geom import (
     DIAMETER_EXACT_DEFAULT_THRESHOLD,
     Ball,
     PointSet,
-    centroid,
     diameter_bound,
 )
 from .lifting import LiftingGraph, make_graph, quadratic_form, stats
@@ -402,14 +408,37 @@ def _traversal_norm(sums: np.ndarray, counts: np.ndarray, graph: LiftingGraph) -
 
 def _graph_for_mode(mode: str, k: int, arity: int | None) -> LiftingGraph:
     if mode == "general":
-        return make_graph("balanced_ary", k, arity if arity is not None else 4)
+        return make_graph("balanced_ary", k, arity)
     return make_graph("star", k)
 
 
-def _expected_center(mode: str, coords: np.ndarray, cents: np.ndarray) -> np.ndarray:
+def _run_rows(mode: str, n: int, k: int) -> int:
+    """Rows the traversal places; the nearly balanced mode leaves n mod k."""
+    return n - n % k if mode == "nearly_balanced" else n
+
+
+def _sizes_within_one(n: int, k: int) -> tuple[int, ...]:
+    """Nearly balanced part sizes: the first n mod k parts get one extra row."""
+    return tuple(n // k + (j < n % k) for j in range(k))
+
+
+def _ball_center(mode: str, center: np.ndarray, cents: np.ndarray) -> np.ndarray:
+    """Input centroid for general sizes, first part centroid for the star modes."""
+    return center if mode == "general" else cents[0]
+
+
+def _guarantees(mode, n, k, sizes, arity, diam, graph) -> tuple[float, float]:
+    """(radius guarantee, traversal norm bound) for a partition's mode."""
     if mode == "general":
-        return coords.mean(axis=0)
-    return cents[0]
+        gstats = stats(graph) if arity != 4 else None
+        return (
+            radius_bound("general", n, k, sizes, diam, graph_stats=gstats, arity=arity),
+            traversal_norm_bound("general", n, k, diam, int(graph.degrees.max())),
+        )
+    return (
+        radius_bound(mode, n, k, diam=diam),
+        traversal_norm_bound(mode, _run_rows(mode, n, k), k, diam),
+    )
 
 
 def check_certificate(cert: TverbergCertificate, points: PointSet) -> list[CheckResult]:
@@ -435,14 +464,13 @@ def check_certificate(cert: TverbergCertificate, points: PointSet) -> list[Check
         f"sizes={tuple(len(p) for p in cert.parts)}",
     )
     if cert.mode == "nearly_balanced":
-        m = n // k
-        expected = tuple(m + 1 if j < n - m * k else m for j in range(k))
+        expected = _sizes_within_one(n, k) if k else "at least one part"
         add("nearly_balanced_size_pattern", cert.sizes == expected, f"expected {expected}")
     if flat != list(range(n)):
         return checks  # nothing else is well defined
 
     assign = _assign_from_parts(cert.parts, n)
-    n0 = (n // k) * k if cert.mode == "nearly_balanced" else n
+    n0 = _run_rows(cert.mode, n, k)
     center = coords.mean(axis=0)
     run_sums, run_counts = _class_sums(coords[:n0] - center, assign[:n0], k)
     tail_sums, tail_counts = _class_sums(coords[n0:] - center, assign[n0:], k)
@@ -450,8 +478,7 @@ def check_certificate(cert: TverbergCertificate, points: PointSet) -> list[Check
     cent_err = float(np.abs(cents - cert.part_centroids).max())
     add("part_centroids_match", cent_err <= REL_SLACK * scale + ABS_GUARD, f"max err {cent_err:.3e}")
 
-    expected_center = _expected_center(cert.mode, coords, cents)
-    center_err = float(np.linalg.norm(expected_center - cert.ball.center))
+    center_err = float(np.linalg.norm(_ball_center(cert.mode, center, cents) - cert.ball.center))
     add("ball_center_matches_mode", center_err <= REL_SLACK * scale + ABS_GUARD, f"err {center_err:.3e}")
 
     achieved = float(np.sqrt(((cents - cert.ball.center) ** 2).sum(axis=1)).max())
@@ -471,17 +498,9 @@ def check_certificate(cert: TverbergCertificate, points: PointSet) -> list[Check
     diam_err = abs(diam_recomputed - cert.diameter_used)
     add("diameter_matches", diam_err <= REL_SLACK * scale + ABS_GUARD, f"err {diam_err:.3e}")
 
-    graph = _graph_for_mode(cert.mode, k, cert.arity)
-    if cert.mode == "general":
-        use_arity = cert.arity if cert.arity else 4
-        gstats = stats(graph) if use_arity != 4 else None
-        guar = radius_bound(
-            "general", n, k, cert.sizes, cert.diameter_used, graph_stats=gstats, arity=use_arity
-        )
-        bound = traversal_norm_bound("general", n, k, cert.diameter_used, int(graph.degrees.max()))
-    else:
-        guar = radius_bound(cert.mode, n, k, diam=cert.diameter_used)
-        bound = traversal_norm_bound(cert.mode, n0, k, cert.diameter_used)
+    arity = 4 if cert.arity is None else cert.arity
+    graph = _graph_for_mode(cert.mode, k, arity)
+    guar, bound = _guarantees(cert.mode, n, k, cert.sizes, arity, cert.diameter_used, graph)
     add(
         "guarantee_formula",
         abs(guar - cert.radius_guaranteed) <= REL_SLACK * max(guar, 1.0) + ABS_GUARD,
@@ -507,15 +526,55 @@ def check_certificate(cert: TverbergCertificate, points: PointSet) -> list[Check
     return checks
 
 
-def _raise_on_failure(cert: TverbergCertificate, points: PointSet) -> TverbergCertificate:
-    failures = [c for c in check_certificate(cert, points) if not c.ok]
+def _as_point_set(points) -> PointSet:
+    return points if isinstance(points, PointSet) else PointSet(points)
+
+
+def _partition(pts: PointSet, mode: str, sizes, arity, threshold: int) -> TverbergCertificate:
+    """Traverse, assemble and self-check one certificate with the given part sizes.
+
+    The traversal places the first _run_rows(mode, n, k) rows; the n mod k
+    rows left over in the nearly balanced mode go to parts 0, 1, ...
+    round-robin, so the traversal quotas are sizes minus those leftovers.
+    """
+    n, k = pts.n, len(sizes)
+    n0 = _run_rows(mode, n, k)
+    graph = _graph_for_mode(mode, k, arity)
+    center = pts.coords[:n0].mean(axis=0)
+    centered = pts.coords[:n0] - center
+    quotas = tuple(r - (j < n - n0) for j, r in enumerate(sizes))
+    assign = _traverse(centered, _TraversalState(graph, quotas, pts.dim))
+    sums, counts = _class_sums(centered, assign, k)
+    norm = _traversal_norm(sums, counts, graph)
+
+    assign = np.concatenate([assign, np.arange(n - n0)])
+    parts = _parts_from_assign(assign, k)
+    sums[: n - n0] += pts.coords[n0:] - center
+    counts[: n - n0] += 1
+    cents = _part_centroids(sums, counts, center)
+    ball_center = _ball_center(mode, center, cents)
+    diam, diam_exact = diameter_bound(pts, threshold)
+    guaranteed, bound = _guarantees(mode, n, k, sizes, arity, diam, graph)
+    achieved = float(np.sqrt(((cents - ball_center) ** 2).sum(axis=1)).max())
+
+    cert = TverbergCertificate(
+        mode=mode,
+        sizes=sizes,
+        arity=arity,
+        parts=parts,
+        part_centroids=cents,
+        ball=Ball(ball_center, guaranteed),
+        radius_guaranteed=guaranteed,
+        radius_achieved=achieved,
+        traversal_centroid_norm=norm,
+        traversal_norm_bound=bound,
+        diameter_used=diam,
+        diameter_exact=diam_exact,
+    )
+    failures = [c for c in check_certificate(cert, pts) if not c.ok]
     if failures:
         raise CertificateError(failures)
     return cert
-
-
-def _as_point_set(points) -> PointSet:
-    return points if isinstance(points, PointSet) else PointSet(points)
 
 
 def partition_general(
@@ -532,45 +591,13 @@ def partition_general(
     """
     pts = _as_point_set(points)
     sizes = _as_sizes(sizes)
-    n, d = pts.n, pts.dim
-    k = len(sizes)
-    if k > n:
+    if len(sizes) > pts.n:
         raise InfeasibleError("more classes than points")
-    if sum(sizes) != n:
+    if sum(sizes) != pts.n:
         raise InfeasibleError("class sizes must sum to the number of points")
     if arity < 2:
         raise InfeasibleError("tree arity must be at least 2")
-
-    graph = make_graph("balanced_ary", k, arity)
-    center = centroid(pts)
-    centered = pts.coords - center
-    assign = _traverse(centered, _TraversalState(graph, sizes, d))
-
-    parts = _parts_from_assign(assign, k)
-    sums, counts = _class_sums(centered, assign, k)
-    cents = _part_centroids(sums, counts, center)
-    diam, diam_exact = diameter_bound(pts, diameter_exact_threshold)
-    gstats = stats(graph) if arity != 4 else None
-    guaranteed = radius_bound("general", n, k, sizes, diam, graph_stats=gstats, arity=arity)
-    achieved = float(np.sqrt(((cents - center) ** 2).sum(axis=1)).max())
-    norm = _traversal_norm(sums, counts, graph)
-    bound = traversal_norm_bound("general", n, k, diam, int(graph.degrees.max()))
-
-    cert = TverbergCertificate(
-        mode="general",
-        sizes=sizes,
-        arity=arity,
-        parts=parts,
-        part_centroids=cents,
-        ball=Ball(center, guaranteed),
-        radius_guaranteed=guaranteed,
-        radius_achieved=achieved,
-        traversal_centroid_norm=norm,
-        traversal_norm_bound=bound,
-        diameter_used=diam,
-        diameter_exact=diam_exact,
-    )
-    return _raise_on_failure(cert, pts)
+    return _partition(pts, "general", sizes, arity, diameter_exact_threshold)
 
 
 def partition_balanced(
@@ -584,45 +611,15 @@ def partition_balanced(
     centroid with guarantee sqrt(k(k-1)/(n-1)) * diam.
     """
     pts = _as_point_set(points)
-    n, d = pts.n, pts.dim
     if k < 1:
         raise InfeasibleError("need at least one class")
-    if k > n:
+    if k > pts.n:
         raise InfeasibleError("more classes than points")
-    if n % k != 0:
+    if pts.n % k != 0:
         raise InfeasibleError(
             "class count must divide the point count; use partition_nearly_balanced otherwise"
         )
-
-    graph = make_graph("star", k)
-    center = centroid(pts)
-    centered = pts.coords - center
-    assign = _traverse(centered, _TraversalState(graph, (n // k,) * k, d))
-
-    parts = _parts_from_assign(assign, k)
-    sums, counts = _class_sums(centered, assign, k)
-    cents = _part_centroids(sums, counts, center)
-    diam, diam_exact = diameter_bound(pts, diameter_exact_threshold)
-    guaranteed = radius_bound("balanced", n, k, diam=diam)
-    achieved = float(np.sqrt(((cents - cents[0]) ** 2).sum(axis=1)).max())
-    norm = _traversal_norm(sums, counts, graph)
-    bound = traversal_norm_bound("balanced", n, k, diam)
-
-    cert = TverbergCertificate(
-        mode="balanced",
-        sizes=(n // k,) * k,
-        arity=None,
-        parts=parts,
-        part_centroids=cents,
-        ball=Ball(cents[0], guaranteed),
-        radius_guaranteed=guaranteed,
-        radius_achieved=achieved,
-        traversal_centroid_norm=norm,
-        traversal_norm_bound=bound,
-        diameter_used=diam,
-        diameter_exact=diam_exact,
-    )
-    return _raise_on_failure(cert, pts)
+    return _partition(pts, "balanced", (pts.n // k,) * k, None, diameter_exact_threshold)
 
 
 def partition_nearly_balanced(
@@ -634,49 +631,13 @@ def partition_nearly_balanced(
 
     Runs the balanced partitioner on the first k*floor(n/k) rows, then
     hands the trailing leftovers to parts 0, 1, ... round-robin. The
-    guarantee widens to sqrt((k+2)(k-1)/(n-1)) * diam.
+    guarantee widens to sqrt((k+2)(k-1)/(n-1)) * diam. When k divides n
+    the result is the balanced certificate.
     """
     pts = _as_point_set(points)
-    n, d = pts.n, pts.dim
     if k < 1:
         raise InfeasibleError("need at least one class")
-    if k > n:
+    if k > pts.n:
         raise InfeasibleError("more classes than points")
-    if n % k == 0:
-        return partition_balanced(pts, k, diameter_exact_threshold)
-
-    m = n // k
-    n0 = m * k
-    sub = pts.coords[:n0]
-    graph = make_graph("star", k)
-    center = sub.mean(axis=0)
-    centered = sub - center
-    assign = _traverse(centered, _TraversalState(graph, (m,) * k, d))
-    sums, counts = _class_sums(centered, assign, k)
-    norm = _traversal_norm(sums, counts, graph)
-
-    assign = np.concatenate([assign, np.arange(n - n0)])
-    parts = _parts_from_assign(assign, k)
-    sums[: n - n0] += pts.coords[n0:] - center
-    counts[: n - n0] += 1
-    cents = _part_centroids(sums, counts, center)
-    diam, diam_exact = diameter_bound(pts, diameter_exact_threshold)
-    guaranteed = radius_bound("nearly_balanced", n, k, diam=diam)
-    achieved = float(np.sqrt(((cents - cents[0]) ** 2).sum(axis=1)).max())
-    bound = traversal_norm_bound("nearly_balanced", n0, k, diam)
-
-    cert = TverbergCertificate(
-        mode="nearly_balanced",
-        sizes=tuple(len(p) for p in parts),
-        arity=None,
-        parts=parts,
-        part_centroids=cents,
-        ball=Ball(cents[0], guaranteed),
-        radius_guaranteed=guaranteed,
-        radius_achieved=achieved,
-        traversal_centroid_norm=norm,
-        traversal_norm_bound=bound,
-        diameter_used=diam,
-        diameter_exact=diam_exact,
-    )
-    return _raise_on_failure(cert, pts)
+    mode = "nearly_balanced" if pts.n % k else "balanced"
+    return _partition(pts, mode, _sizes_within_one(pts.n, k), None, diameter_exact_threshold)

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,16 +172,21 @@ def test_colorful_run_verify_and_ragged_classes(tmp_path):
     assert cli.main(["colorful", str(flat), "--out", str(out)]) == cli.EXIT_INFEASIBLE
 
 
-def test_hamsandwich_run_verify_and_digest_order(tmp_path):
+def _hamsandwich_run(tmp_path, n):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    cli.main(["gen", "--n", "60", "--d", "3", "--seed", "7", "--out", str(a)])
-    cli.main(["gen", "--n", "60", "--d", "3", "--seed", "8", "--out", str(b)])
-    out = tmp_path / "c.json"
+    cli.main(["gen", "--n", str(n), "--d", "3", "--seed", "7", "--out", str(a)])
+    cli.main(["gen", "--n", str(n), "--d", "3", "--seed", "8", "--out", str(b)])
+    out = tmp_path / "hs.json"
     assert cli.main(["hamsandwich", str(a), str(b), "--m", "6,6", "--out", str(out)]) == 0
-    assert cli.main(["verify", str(out), str(a), str(b)]) == 0
+    return out, [str(a), str(b)]
+
+
+def test_hamsandwich_run_verify_and_digest_order(tmp_path):
+    out, (a, b) = _hamsandwich_run(tmp_path, 60)
+    assert cli.main(["verify", str(out), a, b]) == 0
     # wrong input order trips the digest gate, not a check failure
-    assert cli.main(["verify", str(out), str(b), str(a)]) == cli.EXIT_DIGEST
+    assert cli.main(["verify", str(out), b, a]) == cli.EXIT_DIGEST
 
 
 def test_verify_digest_and_tamper_exit_codes(tmp_path, capsys):
@@ -210,7 +216,19 @@ def test_verify_digest_and_tamper_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "case",
-    ["sizes_not_integer", "m_not_integer", "top_level_list", "parts_missing", "parts_not_indices"],
+    [
+        "sizes_not_integer",
+        "m_not_integer",
+        "n_grid_not_integer",
+        "k_grid_not_integer",
+        "points_dim_not_integer",
+        "classes_dim_not_integer",
+        "top_level_list",
+        "parts_missing",
+        "parts_not_indices",
+        "mode_unknown",
+        "per_set_mode_unknown",
+    ],
 )
 def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
     data = tmp_path / "pts.csv"
@@ -219,22 +237,81 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
     cli.main(["tverberg", str(data), "--k", "4", "--out", str(out)])
     doc = json.loads(out.read_text())
     bad = tmp_path / "bad.json"
-    capsys.readouterr()
-    if case == "sizes_not_integer":
-        argv = ["tverberg", str(data), "--sizes", "10,a", "--out", str(bad)]
-    elif case == "m_not_integer":
-        argv = ["hamsandwich", str(data), str(data), "--m", "5,a", "--out", str(bad)]
-    else:
+    argvs = {
+        "sizes_not_integer": ["tverberg", str(data), "--sizes", "10,a", "--out", str(bad)],
+        "m_not_integer": ["hamsandwich", str(data), str(data), "--m", "5,a", "--out", str(bad)],
+        "n_grid_not_integer": ["bench", "--algo", "tverberg", "--n-grid", "16,a"],
+        "k_grid_not_integer": ["bench", "--algo", "colorful", "--k-grid", "4,a"],
+        "points_dim_not_integer": ["tverberg", str(bad), "--k", "1", "--out", str(out)],
+        "classes_dim_not_integer": ["colorful", str(bad), "--out", str(out)],
+    }
+    if case == "points_dim_not_integer":
+        bad.write_text('{"dim": "a", "points": [[0.0, 1.0]]}')
+    elif case == "classes_dim_not_integer":
+        bad.write_text('{"dim": "a", "classes": [[[0.0, 1.0]], [[2.0, 3.0]]]}')
+    elif case == "per_set_mode_unknown":
+        hs, inputs = _hamsandwich_run(tmp_path, 60)
+        hdoc = json.loads(hs.read_text())
+        hdoc["per_set"][0]["mode"] = "nosuch"
+        bad.write_bytes(cli.emit_document(hdoc))
+        argvs[case] = ["verify", str(bad), *inputs]
+    elif case not in argvs:
         edits = {
             "top_level_list": lambda d: [d],
             "parts_missing": lambda d: {k: v for k, v in d.items() if k != "parts"},
             "parts_not_indices": lambda d: {**d, "parts": ["x"]},
+            "mode_unknown": lambda d: {**d, "mode": "nosuch"},
         }
         bad.write_bytes(cli.emit_document(edits[case](doc)))
-        argv = ["verify", str(bad), str(data)]
-    assert cli.main(argv) == cli.EXIT_PARSE
+        argvs[case] = ["verify", str(bad), str(data)]
+    capsys.readouterr()
+    assert cli.main(argvs[case]) == cli.EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and "Traceback" not in err
+
+
+def _shrink_radius(sub):
+    sub["ball"]["radius_guaranteed"] *= 0.5
+
+
+def _move_index(sub):
+    sub["parts"][1].append(sub["parts"][0].pop())
+
+
+def _nudge_centroid(sub):
+    sub["part_centroids"][0][0] += 1e-6
+
+
+def _empty_parts(sub):
+    sub["parts"] = []
+
+
+@pytest.mark.parametrize("kind", ["tverberg", "hamsandwich"])
+@pytest.mark.parametrize(
+    "edit",
+    [_shrink_radius, _move_index, _nudge_centroid, _empty_parts],
+    ids=lambda f: f.__name__.lstrip("_"),
+)
+def test_tampered_certificate_fails_verify(tmp_path, capsys, kind, edit):
+    # 62 rows in 11 or 5 parts leave a remainder, so every partition is nearly balanced
+    if kind == "tverberg":
+        data = tmp_path / "pts.csv"
+        cli.main(["gen", "--n", "62", "--d", "3", "--seed", "1", "--out", str(data)])
+        out = tmp_path / "c.json"
+        cli.main(["tverberg", str(data), "--k", "5", "--out", str(out)])
+        doc, inputs = json.loads(out.read_text()), [str(data)]
+        sub, expected = doc, "FAIL "
+    else:
+        out, inputs = _hamsandwich_run(tmp_path, 62)
+        doc = json.loads(out.read_text())
+        sub, expected = doc["per_set"][0], "FAIL set0_partition_certificate"
+    assert sub["mode"] == "nearly_balanced"
+    edit(sub)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(cli.emit_document(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(bad), *inputs]) == cli.EXIT_CHECK_FAILED
+    assert expected in capsys.readouterr().out
 
 
 def test_timing_flag_controls_timing_field(tmp_path):
@@ -286,16 +363,20 @@ def test_colorful_svg_counts(tmp_path):
 def test_console_entry_point_subprocess(tmp_path):
     data = tmp_path / "pts.csv"
     out = tmp_path / "c.json"
+    # run from the package's parent directory so an uninstalled checkout imports it
+    src = Path(cli.__file__).resolve().parents[1]
     gen = subprocess.run(
         [sys.executable, "-m", "tverberg_nd.cli", "gen", "--n", "20", "--d", "2", "--out", str(data)],
         capture_output=True,
         text=True,
+        cwd=src,
     )
     assert gen.returncode == 0
     run = subprocess.run(
         [sys.executable, "-m", "tverberg_nd.cli", "tverberg", str(data), "--k", "4", "--out", str(out)],
         capture_output=True,
         text=True,
+        cwd=src,
     )
     assert run.returncode == 0
     assert "radius_guaranteed" in run.stdout

@@ -450,6 +450,12 @@ def test_checker_flags_tampering():
     names = {c.name for c in check_certificate(spread, few) if not c.ok}
     assert {"part_sizes_match", "traversal_norm_matches"} <= names
 
+    # no parts at all: the nearly balanced size pattern is undefined, not a crash
+    assert cert.mode == "nearly_balanced"
+    no_parts = dataclasses.replace(cert, parts=())
+    names = {c.name for c in check_certificate(no_parts, pts) if not c.ok}
+    assert {"partition_covers_input", "nearly_balanced_size_pattern"} <= names
+
 
 @settings(deadline=None, max_examples=25)
 @given(st.integers(2, 40), st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**31 - 1))
