@@ -27,13 +27,11 @@ from .geom import (
 )
 from .hamsandwich import (
     DepthCertificate,
-    ProductSet,
     ProjectionChain,
     align_centroids,
     check_depth_certificate,
     generalized_ham_sandwich,
     joint_depth_ball,
-    product_set,
 )
 from .lifting import (
     GraphStats,
@@ -87,7 +85,6 @@ __all__ = [
     "LiftingGraph",
     "LineThroughOrigin",
     "PointSet",
-    "ProductSet",
     "ProjectionChain",
     "SizeSpec",
     "TverbergCertificate",
@@ -115,7 +112,6 @@ __all__ = [
     "partition_colorful",
     "partition_general",
     "partition_nearly_balanced",
-    "product_set",
     "project_orthogonal",
     "q_dot",
     "quadratic_form",

@@ -38,7 +38,6 @@ from .hamsandwich import (
     ProjectionChain,
     check_depth_certificate,
     generalized_ham_sandwich,
-    product_set,
 )
 from .tverberg import (
     InfeasibleError,
@@ -257,14 +256,21 @@ def _tverberg_doc(cert: TverbergCertificate, digest: str, timing_ms: float | Non
 
 
 def _tverberg_from_doc(doc: dict) -> TverbergCertificate:
-    """Decode the fields _tverberg_body writes; an unknown mode is a ValueError."""
-    if doc["mode"] not in BOUND_NAMES:
-        raise ValueError(f"unknown mode {doc['mode']!r}")
+    """Decode the fields _tverberg_body writes.
+
+    An unknown mode, or an arity other than an integer >= 2 for general
+    sizes and null for the star modes, is a ValueError.
+    """
+    mode, arity = doc["mode"], doc["parameters"]["arity"]
+    if mode not in BOUND_NAMES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if not ((isinstance(arity, int) and arity >= 2) if mode == "general" else arity is None):
+        raise ValueError(f"arity {arity!r} does not fit mode {mode!r}")
     ball = doc["ball"]
     return TverbergCertificate(
-        mode=doc["mode"],
+        mode=mode,
         sizes=tuple(int(r) for r in doc["parameters"]["sizes"]),
-        arity=None if doc["parameters"]["arity"] is None else int(doc["parameters"]["arity"]),
+        arity=arity,
         parts=tuple(tuple(int(i) for i in part) for part in doc["parts"]),
         part_centroids=np.asarray(doc["part_centroids"], dtype=np.float64),
         ball=Ball(np.asarray(ball["center"], dtype=np.float64), float(ball["radius_guaranteed"])),
@@ -352,14 +358,11 @@ def _hamsandwich_from_doc(doc: dict) -> DepthCertificate:
         ),
         basis=np.asarray(doc["subspace_basis"], dtype=np.float64),
     )
-    ball = Ball(np.asarray(doc["ball"]["center_local"], dtype=np.float64), float(doc["ball"]["radius"]))
-    translation = np.asarray(doc["translation"], dtype=np.float64)
     return DepthCertificate(
-        translation=translation,
+        translation=np.asarray(doc["translation"], dtype=np.float64),
         chain=chain,
-        ball=ball,
+        ball=Ball(np.asarray(doc["ball"]["center_local"], dtype=np.float64), float(doc["ball"]["radius"])),
         ball_center_ambient=np.asarray(doc["ball"]["center_ambient"], dtype=np.float64),
-        product=product_set(chain, ball, translation),
         m=tuple(int(v) for v in doc["parameters"]["m"]),
         depth_lower_bounds=tuple(int(v) for v in doc["depth_lower_bounds"]),
         per_set=tuple(_tverberg_from_doc(sd) for sd in doc["per_set"]),

@@ -1,14 +1,17 @@
-"""Common depth balls for several point sets via iterated projection.
+"""Common depth balls for several point sets via a centroid projection chain.
 
 Given k point sets in d dimensions with k <= d, the construction
-translates everything so the first set's centroid sits at the origin,
-then repeatedly projects along the centroid direction of the next set:
-each step removes one dimension and zeroes that set's centroid, so after
-k-1 steps all k projected sets share the origin as centroid inside a
-(d-k+1)-dimensional subspace.
+translates everything so the first set's centroid sits at the origin.
+Projection is linear, so only the k centroids pass through the chain:
+step i writes set i's centroid in the current subspace's coordinates and
+removes its direction with a Householder step. After k-1 steps the
+orthonormal rows of `basis` span a (d-k+1)-dimensional subspace in which
+every centroid vanishes. Each set is then projected once, as
+(x - translation) @ basis.T: the one projection that both the build and
+check_depth_certificate use.
 
-Each projected set is then split into ceil(|P_i| / m_i) nearly equal
-parts. All part centroids of set i land within twice that run's radius
+Each projected set is split into ceil(|P_i| / m_i) nearly equal parts.
+All part centroids of set i land within twice that run's radius
 guarantee of the origin (the set centroid is a weighted mean of the part
 centroids, so the part-0 centroid that anchors the run's ball lies
 within one guarantee of the origin). A ball at the origin with radius
@@ -17,8 +20,8 @@ halfspace containing the ball picks up at least one point from each part:
 at least ceil(|P_i| / m_i) points of every set.
 
 Pulled back to the input space, the certified region is the product of
-that ball with the k-1 projected-out lines: membership only constrains
-the component inside the final subspace.
+that ball with the k-1 projected-out lines: DepthCertificate.contains
+only constrains the component inside the final subspace.
 """
 
 from __future__ import annotations
@@ -43,13 +46,11 @@ from .tverberg import (
 
 __all__ = [
     "DepthCertificate",
-    "ProductSet",
     "ProjectionChain",
     "align_centroids",
     "check_depth_certificate",
     "generalized_ham_sandwich",
     "joint_depth_ball",
-    "product_set",
 ]
 
 DEGENERATE_CENTROID_TOL = 1e-12
@@ -95,56 +96,63 @@ def _householder_rows(u: np.ndarray) -> np.ndarray:
     return np.delete(h, j, axis=0)
 
 
-def align_centroids(sets) -> tuple[ProjectionChain, list[np.ndarray]]:
-    """Project k sets into a (d-k+1)-dim subspace where all centroids vanish.
+def _chain_step(axis: np.ndarray, basis: np.ndarray) -> tuple[LineThroughOrigin, np.ndarray, np.ndarray]:
+    """Eliminate local direction axis: (its line, its ambient unit vector, next basis)."""
+    line = LineThroughOrigin.through(axis)
+    return line, line.direction @ basis, _householder_rows(line.direction) @ basis
 
-    The input must already have the first set's centroid at the origin;
-    each step removes the current centroid direction of the next set (or
-    a canonical fallback direction when those centroids already
-    coincide, so the dimension still drops deterministically).
-    """
+
+def _validated_sets(sets) -> list[PointSet]:
+    """At least one set, all of one dimension d, and at most d of them."""
     pts = [p if isinstance(p, PointSet) else PointSet(p) for p in sets]
     if not pts:
         raise InfeasibleError("need at least one point set")
     d = pts[0].dim
-    k = len(pts)
     if any(p.dim != d for p in pts):
         raise ValueError("point sets must share one dimension")
-    if k > d:
+    if len(pts) > d:
         raise InfeasibleError("more point sets than dimensions")
+    return pts
+
+
+def align_centroids(sets) -> tuple[ProjectionChain, list[np.ndarray]]:
+    """Project k sets into a (d-k+1)-dim subspace where all centroids vanish.
+
+    The input must already have the first set's centroid at the origin.
+    Step i removes the direction of set i's centroid in the current
+    subspace (or a canonical fallback direction when that centroid
+    already sits at the origin, so the dimension still drops
+    deterministically). Only the k centroids pass through the chain;
+    each set is projected once, as x @ basis.T, at the end.
+    """
+    pts = _validated_sets(sets)
+    k, d = len(pts), pts[0].dim
     scale = max(diameter_bound(p, 0)[0] for p in pts)
     scale = max(scale, float(max(np.abs(p.coords).max() for p in pts)))
     if float(np.linalg.norm(centroid(pts[0]))) > CENTERED_TOL * max(scale, 1.0):
         raise ValueError("first set must be centered at the origin")
 
-    cur = [p.coords.astype(np.float64).copy() for p in pts]
     basis = np.eye(d)
     axes_local: list[np.ndarray] = []
     axes_ambient: list[np.ndarray] = []
     lines: list[LineThroughOrigin] = []
-    for i in range(1, k):
-        c = cur[i].mean(axis=0)
-        norm = float(np.linalg.norm(c))
-        if norm <= DEGENERATE_CENTROID_TOL * max(scale, 1.0):
+    for p in pts[1:]:
+        axis = basis @ centroid(p)
+        if float(np.linalg.norm(axis)) <= DEGENERATE_CENTROID_TOL * max(scale, 1.0):
             axis = np.zeros(basis.shape[0])
             axis[0] = 1.0  # centroids already coincide; drop a canonical direction
-        else:
-            axis = c
-        u = axis / float(np.linalg.norm(axis))
-        axes_local.append(axis.copy())
-        axes_ambient.append(u @ basis)
-        lines.append(LineThroughOrigin.through(axis))
-        rows = _householder_rows(u)
-        cur = [x @ rows.T for x in cur]
-        basis = rows @ basis
+        line, ambient, basis = _chain_step(axis, basis)
+        axes_local.append(axis)
+        axes_ambient.append(ambient)
+        lines.append(line)
 
     chain = ProjectionChain(
         axes_local=tuple(axes_local),
-        axes_ambient=np.array(axes_ambient).reshape(k - 1, d) if k > 1 else np.zeros((0, d)),
+        axes_ambient=np.array(axes_ambient).reshape(k - 1, d),
         lines=tuple(lines),
         basis=basis,
     )
-    return chain, cur
+    return chain, [p.coords @ basis.T for p in pts]
 
 
 def joint_depth_ball(projected_sets, m) -> tuple[Ball, list[TverbergCertificate], tuple[int, ...]]:
@@ -178,45 +186,15 @@ def joint_depth_ball(projected_sets, m) -> tuple[Ball, list[TverbergCertificate]
 
 
 @dataclass(frozen=True, eq=False)
-class ProductSet:
-    """Cylinder over the subspace ball: ball by projected-out lines.
-
-    A point belongs iff its component in the final subspace lands in the
-    ball; components along the eliminated lines are unconstrained.
-    """
-
-    translation: np.ndarray
-    basis: np.ndarray
-    line_directions: np.ndarray
-    ball: Ball
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        y = np.asarray(x, dtype=np.float64) - self.translation
-        z = self.basis @ y
-        return float(np.linalg.norm(z - self.ball.center)) <= self.ball.radius + tol
-
-
-def product_set(chain: ProjectionChain, ball: Ball, translation=None) -> ProductSet:
-    """Assemble the membership region from a chain and a subspace ball."""
-    d = chain.basis.shape[1]
-    t = np.zeros(d) if translation is None else np.asarray(translation, dtype=np.float64)
-    return ProductSet(
-        translation=t,
-        basis=chain.basis,
-        line_directions=chain.axes_ambient,
-        ball=ball,
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class DepthCertificate:
     """Joint depth ball, its construction trace, and per-set witnesses.
 
-    per_set holds one partition certificate per input set, stated in the
-    final-subspace coordinates (rows indexed as in the input sets).
-    depth_lower_bounds[i] = ceil(|P_i| / m[i]) is the number of parts,
-    hence the minimum point count of set i in any halfspace containing
-    the product region. constructive_radius is the emitted ball radius;
+    per_set holds one partition certificate per input set, built on the
+    set's projection (x - translation) @ chain.basis.T into the final
+    subspace (rows indexed as in the input sets). depth_lower_bounds[i] =
+    ceil(|P_i| / m[i]) is the number of parts, hence the minimum point
+    count of set i in any halfspace containing the product region (see
+    contains). constructive_radius is the emitted ball radius;
     existential_radius = (2 + 2*sqrt(2)) * max_i diam(P_i)/sqrt(m_i) is
     the smaller non-constructive target it replaces, reported for
     comparison only. oracle_depths holds the exact planar depth of the
@@ -227,7 +205,6 @@ class DepthCertificate:
     chain: ProjectionChain
     ball: Ball
     ball_center_ambient: np.ndarray
-    product: ProductSet
     m: tuple[int, ...]
     depth_lower_bounds: tuple[int, ...]
     per_set: tuple[TverbergCertificate, ...]
@@ -237,27 +214,24 @@ class DepthCertificate:
     set_diameters_exact: tuple[bool, ...]
     oracle_depths: tuple[int, ...] | None
 
+    def contains(self, x, tol: float = 1e-9) -> bool:
+        """Membership in the product region: the ball times the projected-out lines.
+
+        Only the component of x - translation inside the final subspace
+        is constrained; components along the eliminated lines are free.
+        """
+        z = self.chain.basis @ (np.asarray(x, dtype=np.float64) - self.translation)
+        return float(np.linalg.norm(z - self.ball.center)) <= self.ball.radius + tol
+
 
 def generalized_ham_sandwich(sets, m, diameter_exact_threshold: int = 4096) -> DepthCertificate:
     """Build a depth certificate shared by the k input sets (k <= d)."""
-    pts = [p if isinstance(p, PointSet) else PointSet(p) for p in sets]
-    if not pts:
-        raise InfeasibleError("need at least one point set")
-    d = pts[0].dim
-    k = len(pts)
-    if any(p.dim != d for p in pts):
-        raise ValueError("point sets must share one dimension")
-    if k > d:
-        raise InfeasibleError("more point sets than dimensions")
+    pts = _validated_sets(sets)
     m = tuple(int(v) for v in m)
-    if len(m) != k:
-        raise InfeasibleError("need one part-size parameter per set")
 
     t = centroid(pts[0])
-    translated = [p.coords - t for p in pts]
-    chain, projected = align_centroids(translated)
+    chain, projected = align_centroids([p.coords - t for p in pts])
     ball, per_set, depths = joint_depth_ball(projected, m)
-    prod = product_set(chain, ball, t)
     center_ambient = t + ball.center @ chain.basis
 
     diams = [diameter_bound(p, diameter_exact_threshold) for p in pts]
@@ -265,7 +239,7 @@ def generalized_ham_sandwich(sets, m, diameter_exact_threshold: int = 4096) -> D
         dv / math.sqrt(mi) for (dv, _), mi in zip(diams, m)
     )
     oracle_depths = None
-    if d == 2 and all(p.n <= 1000 for p in pts):
+    if pts[0].dim == 2 and all(p.n <= 1000 for p in pts):
         oracle_depths = tuple(depth_2d_exact(center_ambient, p) for p in pts)
 
     cert = DepthCertificate(
@@ -273,7 +247,6 @@ def generalized_ham_sandwich(sets, m, diameter_exact_threshold: int = 4096) -> D
         chain=chain,
         ball=ball,
         ball_center_ambient=center_ambient,
-        product=prod,
         m=m,
         depth_lower_bounds=depths,
         per_set=tuple(per_set),
@@ -287,6 +260,29 @@ def generalized_ham_sandwich(sets, m, diameter_exact_threshold: int = 4096) -> D
     if failures:
         raise CertificateError(failures)
     return cert
+
+
+def _replay_error(chain: ProjectionChain, d: int) -> float:
+    """Largest entrywise gap between the stored frame and the chain replayed from axes_local.
+
+    The replay runs the build's own elimination steps; inf when the stored
+    arrays cannot match in shape or an axis cannot be normalized.
+    """
+    if len(chain.lines) != chain.steps or chain.axes_ambient.shape != (chain.steps, d):
+        return math.inf
+    basis, errs = np.eye(d), []
+    for axis, line, ambient in zip(chain.axes_local, chain.lines, chain.axes_ambient):
+        if axis.shape != (basis.shape[0],) or line.direction.shape != axis.shape:
+            return math.inf
+        try:
+            replayed, replayed_ambient, basis = _chain_step(axis, basis)
+        except ValueError:  # a zero or non-finite axis
+            return math.inf
+        errs += [np.abs(replayed.direction - line.direction).max(), np.abs(replayed_ambient - ambient).max()]
+    if basis.shape != chain.basis.shape:
+        return math.inf
+    errs.append(np.abs(basis - chain.basis).max(initial=0.0))
+    return float(np.max(errs))
 
 
 def check_depth_certificate(cert: DepthCertificate, sets) -> list[CheckResult]:
@@ -326,6 +322,8 @@ def check_depth_certificate(cert: DepthCertificate, sets) -> list[CheckResult]:
         add("axes_orthonormal", ax_err <= 1e-9, f"err {ax_err:.3e}")
         cross = float(np.abs(basis @ axes.T).max())
         add("axes_orthogonal_to_basis", cross <= 1e-9, f"err {cross:.3e}")
+    replay_err = _replay_error(cert.chain, d)
+    add("chain_replays_from_axes_local", replay_err <= 1e-9, f"err {replay_err:.3e}")
 
     projected = [(p.coords - cert.translation) @ basis.T for p in pts]
     cent_err = max(float(np.linalg.norm(q.mean(axis=0))) for q in projected)
@@ -381,18 +379,10 @@ def check_depth_certificate(cert: DepthCertificate, sets) -> list[CheckResult]:
         f"recomputed {existential!r} stored {cert.existential_radius!r}",
     )
 
-    prod = cert.product
-    add(
-        "product_frame_consistent",
-        prod.basis.shape == basis.shape
-        and float(np.abs(prod.basis - basis).max()) <= ABS_GUARD
-        and float(np.linalg.norm(prod.translation - cert.translation)) <= tol
-        and abs(prod.ball.radius - cert.ball.radius) <= ABS_GUARD,
-    )
-    member = prod.contains(cert.ball_center_ambient)
+    member = cert.contains(cert.ball_center_ambient)
     along_lines = True
     for j in range(cert.chain.steps):
-        along_lines = along_lines and prod.contains(
+        along_lines = along_lines and cert.contains(
             cert.ball_center_ambient + (1.0 + scale) * cert.chain.axes_ambient[j]
         )
     add("product_contains_center_and_lines", member and along_lines)

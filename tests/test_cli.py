@@ -228,6 +228,7 @@ def test_verify_digest_and_tamper_exit_codes(tmp_path, capsys):
         "parts_not_indices",
         "mode_unknown",
         "per_set_mode_unknown",
+        "arity_too_small",
     ],
 )
 def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
@@ -249,6 +250,12 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
         bad.write_text('{"dim": "a", "points": [[0.0, 1.0]]}')
     elif case == "classes_dim_not_integer":
         bad.write_text('{"dim": "a", "classes": [[[0.0, 1.0]], [[2.0, 3.0]]]}')
+    elif case == "arity_too_small":
+        cli.main(["tverberg", str(data), "--sizes", "5,6,6,7", "--out", str(out)])
+        gdoc = json.loads(out.read_text())
+        gdoc["parameters"]["arity"] = 1
+        bad.write_bytes(cli.emit_document(gdoc))
+        argvs[case] = ["verify", str(bad), str(data)]
     elif case == "per_set_mode_unknown":
         hs, inputs = _hamsandwich_run(tmp_path, 60)
         hdoc = json.loads(hs.read_text())
@@ -286,10 +293,14 @@ def _empty_parts(sub):
     sub["parts"] = []
 
 
+def _truncate_centroids(sub):
+    sub["part_centroids"] = sub["part_centroids"][:2]
+
+
 @pytest.mark.parametrize("kind", ["tverberg", "hamsandwich"])
 @pytest.mark.parametrize(
     "edit",
-    [_shrink_radius, _move_index, _nudge_centroid, _empty_parts],
+    [_shrink_radius, _move_index, _nudge_centroid, _empty_parts, _truncate_centroids],
     ids=lambda f: f.__name__.lstrip("_"),
 )
 def test_tampered_certificate_fails_verify(tmp_path, capsys, kind, edit):
@@ -312,6 +323,27 @@ def test_tampered_certificate_fails_verify(tmp_path, capsys, kind, edit):
     capsys.readouterr()
     assert cli.main(["verify", str(bad), *inputs]) == cli.EXIT_CHECK_FAILED
     assert expected in capsys.readouterr().out
+
+
+def _tilt_axis(doc):
+    doc["axes_local"][0][0] += 0.5
+
+
+def _swap_line(doc):
+    line = doc["lines_local"][0]
+    line[0], line[1] = line[1], line[0]
+
+
+@pytest.mark.parametrize("edit", [_tilt_axis, _swap_line], ids=lambda f: f.__name__.lstrip("_"))
+def test_tampered_chain_fails_verify(tmp_path, capsys, edit):
+    out, inputs = _hamsandwich_run(tmp_path, 60)
+    doc = json.loads(out.read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(cli.emit_document(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(bad), *inputs]) == cli.EXIT_CHECK_FAILED
+    assert "FAIL chain_replays_from_axes_local" in capsys.readouterr().out
 
 
 def test_timing_flag_controls_timing_field(tmp_path):

@@ -5,14 +5,14 @@ import pytest
 
 from tverberg_nd.geom import Ball, PointSet
 from tverberg_nd.hamsandwich import (
+    _householder_rows,
     align_centroids,
     check_depth_certificate,
     generalized_ham_sandwich,
     joint_depth_ball,
-    product_set,
 )
 from tverberg_nd.oracle import depth_2d_exact
-from tverberg_nd.tverberg import InfeasibleError
+from tverberg_nd.tverberg import InfeasibleError, partition_nearly_balanced
 
 
 def _centered(rng, n, d):
@@ -51,6 +51,49 @@ def test_align_centroids_zeroes_every_centroid():
     assert np.allclose(direct, projected[0], atol=1e-9)
 
 
+# (seed, k, n, d): set i gets n + 7 i rows around its own random offset
+_CHAIN_SHAPES = [(20, 2, 60, 3), (21, 3, 300, 8), (22, 5, 400, 16), (23, 8, 600, 64), (24, 3, 250, 64)]
+
+
+def _offset_sets(seed, k, n, d):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((n + 7 * i, d)) + rng.uniform(-3.0, 3.0, d) for i in range(k)]
+
+
+def _iterated_projection(sets):
+    """Reference chain: every whole set is re-projected at every step."""
+    cur = [np.asarray(x, dtype=np.float64) for x in sets]
+    basis = np.eye(cur[0].shape[1])
+    for i in range(1, len(cur)):
+        c = cur[i].mean(axis=0)
+        rows = _householder_rows(c / np.linalg.norm(c))
+        cur = [x @ rows.T for x in cur]
+        basis = rows @ basis
+    return basis, cur
+
+
+@pytest.mark.parametrize("seed,k,n,d", _CHAIN_SHAPES)
+def test_centroid_chain_matches_iterated_projection(seed, k, n, d):
+    sets = _offset_sets(seed, k, n, d)
+    translated = [x - sets[0].mean(axis=0) for x in sets]
+    chain, projected = align_centroids(translated)
+    basis, iterated = _iterated_projection(translated)
+    assert np.abs(chain.basis - basis).max() <= 1e-12
+    for x, q, r in zip(translated, projected, iterated):
+        assert np.array_equal(q, x @ chain.basis.T)
+        assert np.abs(q - r).max() <= 1e-11  # entries stay below 10 in magnitude
+
+
+@pytest.mark.parametrize("seed,k,n,d", _CHAIN_SHAPES)
+def test_per_set_certificates_rebuild_on_checker_projection(seed, k, n, d):
+    sets = _offset_sets(seed, k, n, d)
+    cert = generalized_ham_sandwich(sets, (5,) * k)
+    for x, sub in zip(sets, cert.per_set):
+        rebuilt = partition_nearly_balanced((x - cert.translation) @ cert.chain.basis.T, sub.k)
+        assert rebuilt.parts == sub.parts
+        assert np.array_equal(rebuilt.part_centroids, sub.part_centroids)
+
+
 def test_align_centroids_degenerate_fallback():
     # both centroids already at the origin: a canonical axis is dropped
     base = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
@@ -84,17 +127,15 @@ def test_joint_depth_ball_whole_set_one_part():
 
 def test_product_set_membership():
     rng = np.random.default_rng(5)
-    p1 = _centered(rng, 20, 3)
+    p1 = rng.standard_normal((20, 3)) + np.array([1.0, 2.0, 3.0])
     p2 = rng.standard_normal((20, 3)) + np.array([0.0, 0.0, 4.0])
-    chain, _ = align_centroids([p1, p2])
-    ball = Ball(np.zeros(2), 1.0)
-    prod = product_set(chain, ball, translation=np.array([1.0, 2.0, 3.0]))
-    center = prod.translation + ball.center @ prod.basis
-    assert prod.contains(center)
+    cert = generalized_ham_sandwich([p1, p2], (4, 4))
+    center = cert.translation + cert.ball.center @ cert.chain.basis
+    assert cert.contains(center)
     # sliding any distance along an eliminated axis never leaves the set
-    assert prod.contains(center + 1e6 * chain.axes_ambient[0])
+    assert cert.contains(center + 1e6 * cert.chain.axes_ambient[0])
     # stepping past the radius inside the subspace does
-    assert not prod.contains(center + 1.5 * prod.basis[0])
+    assert not cert.contains(center + (cert.ball.radius + 0.5) * cert.chain.basis[0])
 
 
 def test_full_pipeline_two_sets_in_3d():
