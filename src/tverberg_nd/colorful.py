@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .geom import Ball, diameter_exact
 from .lifting import make_graph, quadratic_form
-from .tverberg import ABS_GUARD, REL_SLACK, CertificateError, CheckResult, InfeasibleError
+from .tverberg import ABS_GUARD, REL_SLACK, CheckResult, InfeasibleError, _Checks, _require
 
 __all__ = [
     "ColorInstance",
@@ -82,6 +83,15 @@ class ColorInstance:
     @property
     def dim(self) -> int:
         return self.classes.shape[2]
+
+    @cached_property
+    def max_class_diameter(self) -> float:
+        """Largest exact class diameter, computed on first use and then kept."""
+        return max(diameter_exact(members) for members in self.classes)
+
+
+def _as_instance(classes) -> ColorInstance:
+    return classes if isinstance(classes, ColorInstance) else ColorInstance.from_arrays(classes)
 
 
 def shift_objective(members: np.ndarray, running: np.ndarray, t: int) -> float:
@@ -170,7 +180,7 @@ def _node_sums(instance: ColorInstance, shifts) -> np.ndarray:
 
 def partition_colorful(classes) -> ColorfulCertificate:
     """Route every class onto the k parts by its best cyclic shift."""
-    inst = classes if isinstance(classes, ColorInstance) else ColorInstance.from_arrays(classes)
+    inst = _as_instance(classes)
     n, k, d = inst.classes.shape
     idx = np.arange(k)
     running = np.zeros((k, d))
@@ -183,7 +193,7 @@ def partition_colorful(classes) -> ColorfulCertificate:
 
     parts = _parts_from_shifts(n, k, shifts)
     cents = running / n
-    max_diam = max(diameter_exact(inst.classes[c]) for c in range(n))
+    max_diam = inst.max_class_diameter
     guaranteed = colorful_radius_bound(n, k, max_diam)
     achieved = float(np.sqrt(((cents - cents[0]) ** 2).sum(axis=1)).max())
     norm = math.sqrt(max(quadratic_form(make_graph("star", k), running), 0.0))
@@ -200,24 +210,19 @@ def partition_colorful(classes) -> ColorfulCertificate:
         lifted_sum_norm=norm,
         max_class_diameter=max_diam,
     )
-    failures = [c for c in check_colorful_certificate(cert, inst) if not c.ok]
-    if failures:
-        raise CertificateError(failures)
+    _require(check_colorful_certificate(cert, inst))
     return cert
 
 
 def check_colorful_certificate(cert: ColorfulCertificate, classes) -> list[CheckResult]:
     """Recompute every claim of a colorful certificate from the input."""
-    inst = classes if isinstance(classes, ColorInstance) else ColorInstance.from_arrays(classes)
+    inst = _as_instance(classes)
     n, k, _ = inst.classes.shape
-    checks: list[CheckResult] = []
+    checks = _Checks()
     scale = max(cert.max_class_diameter, 1.0)
 
-    def add(name: str, ok: bool, detail: str = "") -> None:
-        checks.append(CheckResult(name, bool(ok), detail))
-
-    add("shape_matches", cert.n_classes == n and cert.k == k, f"stored ({cert.n_classes}, {cert.k})")
-    add(
+    checks.add("shape_matches", cert.n_classes == n and cert.k == k, f"stored ({cert.n_classes}, {cert.k})")
+    checks.add(
         "shifts_in_range",
         len(cert.shifts) == n and all(0 <= t < k for t in cert.shifts),
         f"{len(cert.shifts)} shifts",
@@ -226,55 +231,33 @@ def check_colorful_certificate(cert: ColorfulCertificate, classes) -> list[Check
         return checks
 
     expected_parts = _parts_from_shifts(n, k, cert.shifts)
-    add("parts_match_shifts", cert.parts == expected_parts)
+    checks.add("parts_match_shifts", cert.parts == expected_parts)
     rainbow = all(
         len(part) == n and sorted(c for c, _ in part) == list(range(n)) for part in cert.parts
     )
-    add("one_point_per_class_per_part", rainbow)
+    checks.add("one_point_per_class_per_part", rainbow)
 
     sums = _node_sums(inst, cert.shifts)
     cents = sums / n
-    cent_err = float(np.abs(cents - cert.part_centroids).max())
-    add("part_centroids_match", cent_err <= REL_SLACK * scale + ABS_GUARD, f"max err {cent_err:.3e}")
-
-    center_err = float(np.linalg.norm(cents[0] - cert.ball.center))
-    add("ball_center_is_hub_centroid", center_err <= REL_SLACK * scale + ABS_GUARD, f"err {center_err:.3e}")
-
+    checks.close("part_centroids_match", cents, cert.part_centroids, scale)
+    checks.close("ball_center_is_hub_centroid", np.linalg.norm(cents[0] - cert.ball.center), 0.0, scale)
     achieved = float(np.sqrt(((cents - cents[0]) ** 2).sum(axis=1)).max())
-    add(
-        "radius_achieved_matches",
-        abs(achieved - cert.radius_achieved) <= REL_SLACK * scale + ABS_GUARD,
-        f"measured {achieved!r} stored {cert.radius_achieved!r}",
-    )
+    checks.close("radius_achieved_matches", achieved, cert.radius_achieved, scale)
     slack = REL_SLACK * scale + ABS_GUARD
-    add(
+    checks.add(
         "radius_within_guarantee",
         achieved <= cert.radius_guaranteed + slack,
         f"achieved {achieved!r} guaranteed {cert.radius_guaranteed!r}",
     )
 
-    max_diam = max(diameter_exact(inst.classes[c]) for c in range(n))
-    add(
-        "max_class_diameter_matches",
-        abs(max_diam - cert.max_class_diameter) <= REL_SLACK * scale + ABS_GUARD,
-        f"measured {max_diam!r}",
-    )
+    checks.close("max_class_diameter_matches", inst.max_class_diameter, cert.max_class_diameter, scale)
     guar = colorful_radius_bound(n, k, cert.max_class_diameter)
-    add(
-        "guarantee_formula",
-        abs(guar - cert.radius_guaranteed) <= REL_SLACK * max(guar, 1.0) + ABS_GUARD,
-        f"recomputed {guar!r} stored {cert.radius_guaranteed!r}",
-    )
-
+    checks.close("guarantee_formula", guar, cert.radius_guaranteed, guar)
     norm = math.sqrt(max(quadratic_form(make_graph("star", k), sums), 0.0))
-    add(
-        "lifted_sum_norm_matches",
-        abs(norm - cert.lifted_sum_norm) <= REL_SLACK * max(norm, scale) + ABS_GUARD,
-        f"recomputed {norm!r} stored {cert.lifted_sum_norm!r}",
-    )
+    checks.close("lifted_sum_norm_matches", norm, cert.lifted_sum_norm, max(norm, scale))
     # norm / n is the full lifted centroid norm, an upper bound on every
     # hub-to-part distance, so it must clear the guarantee too
-    add(
+    checks.add(
         "traversal_norm_within_bound",
         norm / n <= cert.radius_guaranteed + slack,
         f"lifted centroid norm {norm / n!r} guaranteed {cert.radius_guaranteed!r}",

@@ -3,13 +3,15 @@
 Everything runs on float64 numpy arrays. A point is a 1-d array; a point
 set wraps an (n, d) array whose row order is significant, because every
 certificate refers to points by row index. Arrays inside the frozen
-containers are marked read-only.
+containers are marked read-only, so a container computes its exact
+diameter once (PointSet.diameter) and every later reader shares it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +78,11 @@ class PointSet:
     def __len__(self) -> int:
         return self.n
 
+    @cached_property
+    def diameter(self) -> float:
+        """Exact diameter of the rows, computed on first use and then kept."""
+        return diameter_exact(self)
+
     def subset(self, indices) -> "PointSet":
         """New PointSet holding the given rows, in the given order."""
         return PointSet(self.coords[np.asarray(indices, dtype=np.intp)])
@@ -125,10 +132,9 @@ class LineThroughOrigin:
         return cls(v / nrm)
 
 
-def _coords(points) -> np.ndarray:
-    if isinstance(points, PointSet):
-        return points.coords
-    return PointSet(points).coords
+def _as_point_set(points) -> PointSet:
+    """The PointSet itself, or a new one wrapping the array-like."""
+    return points if isinstance(points, PointSet) else PointSet(points)
 
 
 def centroid(points, compensated: bool = False) -> np.ndarray:
@@ -137,7 +143,7 @@ def centroid(points, compensated: bool = False) -> np.ndarray:
     With compensated=True each coordinate is accumulated with exact
     (fsum) summation; the default sums in input order via numpy.
     """
-    arr = _coords(points)
+    arr = _as_point_set(points).coords
     if arr.shape[0] == 0:
         raise ValueError("empty point set")
     if compensated:
@@ -189,7 +195,7 @@ def diameter_exact(points) -> float:
     Inputs with many exact ties, such as duplicated clusters, thus cost
     the budget in memory and at most one full pairwise pass in time.
     """
-    arr = _coords(points)
+    arr = _as_point_set(points).coords
     n, d = arr.shape
     if n == 0:
         raise ValueError("empty point set")
@@ -226,7 +232,7 @@ def diameter_exact(points) -> float:
 
 def diameter_upper(points) -> float:
     """2 * max distance to the centroid; always within [diam, 2 diam]."""
-    arr = _coords(points)
+    arr = _as_point_set(points).coords
     if arr.shape[0] == 0:
         raise ValueError("empty point set")
     c = centroid(arr)
@@ -238,17 +244,18 @@ def diameter_bound(points, exact_threshold: int = DIAMETER_EXACT_DEFAULT_THRESHO
     """Diameter value plus a flag telling whether it is exact.
 
     Sets with at most exact_threshold points get the exact pairwise
-    diameter; larger ones get the centroid-based upper bound.
+    diameter, cached on the PointSet; larger ones get the centroid-based
+    upper bound.
     """
-    arr = _coords(points)
-    if arr.shape[0] <= exact_threshold:
-        return diameter_exact(arr), True
-    return diameter_upper(arr), False
+    pts = _as_point_set(points)
+    if pts.n <= exact_threshold:
+        return pts.diameter, True
+    return diameter_upper(pts), False
 
 
 def translate(points: PointSet, v) -> PointSet:
     """Shift every point by v."""
-    arr = _coords(points)
+    arr = _as_point_set(points).coords
     v = as_point(v)
     if v.shape[0] != arr.shape[1]:
         raise ValueError("dimension mismatch between point set and translation")

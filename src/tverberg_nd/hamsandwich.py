@@ -22,6 +22,14 @@ at least ceil(|P_i| / m_i) points of every set.
 Pulled back to the input space, the certified region is the product of
 that ball with the k-1 projected-out lines: DepthCertificate.contains
 only constrains the component inside the final subspace.
+
+The build self-checks how the pieces fit together (_frame_checks): the
+frame, the depth bounds, the radius, the ball and its cover of every
+part centroid, the set diameters and the product region. It does not
+recheck the per-set certificates, which the partitioner checked on the
+same projected arrays, nor the planar oracle depths, which are the
+oracle's own output. check_depth_certificate, the external check,
+rederives both as well.
 """
 
 from __future__ import annotations
@@ -31,15 +39,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Ball, LineThroughOrigin, PointSet, centroid, diameter_bound
+from .geom import Ball, LineThroughOrigin, PointSet, _as_point_set, centroid, diameter_bound
 from .oracle import depth_2d_exact
 from .tverberg import (
     ABS_GUARD,
     REL_SLACK,
-    CertificateError,
     CheckResult,
     InfeasibleError,
     TverbergCertificate,
+    _Checks,
+    _require,
     check_certificate,
     partition_nearly_balanced,
 )
@@ -104,7 +113,7 @@ def _chain_step(axis: np.ndarray, basis: np.ndarray) -> tuple[LineThroughOrigin,
 
 def _validated_sets(sets) -> list[PointSet]:
     """At least one set, all of one dimension d, and at most d of them."""
-    pts = [p if isinstance(p, PointSet) else PointSet(p) for p in sets]
+    pts = [_as_point_set(p) for p in sets]
     if not pts:
         raise InfeasibleError("need at least one point set")
     d = pts[0].dim
@@ -163,26 +172,22 @@ def joint_depth_ball(projected_sets, m) -> tuple[Ball, list[TverbergCertificate]
     every part centroid because each run's anchor centroid sits within
     its own guarantee of the origin.
     """
-    arrs = [p.coords if isinstance(p, PointSet) else np.asarray(p, dtype=np.float64) for p in projected_sets]
-    if len(m) != len(arrs):
+    pts = [_as_point_set(p) for p in projected_sets]
+    if len(m) != len(pts):
         raise InfeasibleError("need one part-size parameter per set")
-    scale = 1.0
-    for arr in arrs:
-        scale = max(scale, float(np.abs(arr).max(initial=0.0)))
+    scale = max([1.0] + [float(np.abs(p.coords).max(initial=0.0)) for p in pts])
     certs: list[TverbergCertificate] = []
     depths: list[int] = []
-    for arr, m_i in zip(arrs, m):
-        n_i = arr.shape[0]
-        if not 2 <= int(m_i) <= n_i:
+    for p, m_i in zip(pts, m):
+        if not 2 <= int(m_i) <= p.n:
             raise InfeasibleError("part size parameters must satisfy 2 <= m_i <= |P_i|")
-        if float(np.linalg.norm(arr.mean(axis=0))) > CENTERED_TOL * scale:
+        if float(np.linalg.norm(p.coords.mean(axis=0))) > CENTERED_TOL * scale:
             raise ValueError("projected sets must have centroids at the origin")
-        parts = -(-n_i // int(m_i))
-        certs.append(partition_nearly_balanced(arr, parts))
+        parts = -(-p.n // int(m_i))
+        certs.append(partition_nearly_balanced(p, parts))
         depths.append(parts)
     radius = max(2.0 * c.radius_guaranteed for c in certs)
-    dim = arrs[0].shape[1]
-    return Ball(np.zeros(dim), radius), certs, tuple(depths)
+    return Ball(np.zeros(pts[0].dim), radius), certs, tuple(depths)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,19 +261,18 @@ def generalized_ham_sandwich(sets, m, diameter_exact_threshold: int = 4096) -> D
         set_diameters_exact=tuple(flag for _, flag in diams),
         oracle_depths=oracle_depths,
     )
-    failures = [c for c in check_depth_certificate(cert, pts) if not c.ok]
-    if failures:
-        raise CertificateError(failures)
+    _require(_frame_checks(cert, pts)[0])
     return cert
 
 
 def _replay_error(chain: ProjectionChain, d: int) -> float:
     """Largest entrywise gap between the stored frame and the chain replayed from axes_local.
 
-    The replay runs the build's own elimination steps; inf when the stored
-    arrays cannot match in shape or an axis cannot be normalized.
+    The replay runs the build's own elimination steps; inf when a stored
+    line or axis cannot match in shape or an axis cannot be normalized.
+    The caller has checked the shapes of axes_ambient and the basis.
     """
-    if len(chain.lines) != chain.steps or chain.axes_ambient.shape != (chain.steps, d):
+    if len(chain.lines) != chain.steps:
         return math.inf
     basis, errs = np.eye(d), []
     for axis, line, ambient in zip(chain.axes_local, chain.lines, chain.axes_ambient):
@@ -279,105 +283,91 @@ def _replay_error(chain: ProjectionChain, d: int) -> float:
         except ValueError:  # a zero or non-finite axis
             return math.inf
         errs += [np.abs(replayed.direction - line.direction).max(), np.abs(replayed_ambient - ambient).max()]
-    if basis.shape != chain.basis.shape:
-        return math.inf
     errs.append(np.abs(basis - chain.basis).max(initial=0.0))
     return float(np.max(errs))
 
 
-def check_depth_certificate(cert: DepthCertificate, sets) -> list[CheckResult]:
-    """Recompute every claim of a depth certificate from the raw sets."""
-    pts = [p if isinstance(p, PointSet) else PointSet(p) for p in sets]
-    checks: list[CheckResult] = []
+def _frame_checks(cert: DepthCertificate, pts: list[PointSet]) -> tuple[_Checks, list | None]:
+    """Check how the pieces of a depth certificate fit together, from the raw sets.
+
+    Covers the shapes, the translation, the basis and axes, the chain
+    replay, the projected centroids, the depth bounds, the radius, the
+    ball center and its cover of every part centroid, the set diameters,
+    the existential radius and the product region. The per-set
+    certificates themselves are not rechecked. Returns the checks and
+    the sets projected by the certificate's own frame, (x - translation)
+    @ basis.T, or None when the stored arrays do not fit the input's
+    shapes, since nothing else is then well defined.
+    """
+    checks = _Checks()
     k = len(pts)
     d = pts[0].dim if pts else 0
     scale = max([1.0] + [float(np.abs(p.coords).max(initial=0.0)) for p in pts])
-    tol = REL_SLACK * scale + ABS_GUARD
+    basis, axes, sub_dim = cert.chain.basis, cert.chain.axes_ambient, d - (k - 1)
 
-    def add(name: str, ok: bool, detail: str = "") -> None:
-        checks.append(CheckResult(name, bool(ok), detail))
+    checks.add("set_count_at_most_dim", 1 <= k <= d, f"k={k} d={d}")
+    per_set = (cert.per_set, cert.m, cert.depth_lower_bounds, cert.set_diameters, cert.set_diameters_exact)
+    lengths = [len(v) for v in per_set] + [cert.chain.steps + 1]
+    frame = (cert.translation, cert.ball_center_ambient, basis, cert.ball.center, axes)
+    shapes = [a.shape for a in frame]
+    shapes_ok = lengths == [k] * 6 and shapes == [(d,), (d,), (sub_dim, d), (sub_dim,), (k - 1, d)]
+    checks.add("shapes_consistent", shapes_ok, f"k={k} d={d}: lengths {lengths}, shapes {shapes}")
+    checks.add("basis_shape", basis.shape == (sub_dim, d), f"shape {basis.shape}")
+    if not shapes_ok:
+        return checks, None
 
-    add("set_count_at_most_dim", 1 <= k <= d, f"k={k} d={d}")
-    add(
-        "shapes_consistent",
-        len(cert.per_set) == k
-        and len(cert.m) == k
-        and len(cert.depth_lower_bounds) == k
-        and cert.chain.steps == k - 1,
-    )
-    if len(cert.per_set) != k or cert.chain.steps != k - 1:
-        return checks
-
-    t_err = float(np.linalg.norm(cert.translation - centroid(pts[0])))
-    add("translation_is_first_centroid", t_err <= tol, f"err {t_err:.3e}")
-
-    basis = cert.chain.basis
-    sub_dim = d - (k - 1)
-    add("basis_shape", basis.shape == (sub_dim, d), f"shape {basis.shape}")
-    gram_err = float(np.abs(basis @ basis.T - np.eye(basis.shape[0])).max())
-    add("basis_orthonormal", gram_err <= 1e-9, f"err {gram_err:.3e}")
-    axes = cert.chain.axes_ambient
+    t_err = np.linalg.norm(cert.translation - centroid(pts[0]))
+    checks.close("translation_is_first_centroid", t_err, 0.0, scale)
+    gram_err = float(np.abs(basis @ basis.T - np.eye(sub_dim)).max())
+    checks.add("basis_orthonormal", gram_err <= 1e-9, f"err {gram_err:.3e}")
     if k > 1:
         ax_err = float(np.abs(axes @ axes.T - np.eye(k - 1)).max())
-        add("axes_orthonormal", ax_err <= 1e-9, f"err {ax_err:.3e}")
+        checks.add("axes_orthonormal", ax_err <= 1e-9, f"err {ax_err:.3e}")
         cross = float(np.abs(basis @ axes.T).max())
-        add("axes_orthogonal_to_basis", cross <= 1e-9, f"err {cross:.3e}")
+        checks.add("axes_orthogonal_to_basis", cross <= 1e-9, f"err {cross:.3e}")
     replay_err = _replay_error(cert.chain, d)
-    add("chain_replays_from_axes_local", replay_err <= 1e-9, f"err {replay_err:.3e}")
+    checks.add("chain_replays_from_axes_local", replay_err <= 1e-9, f"err {replay_err:.3e}")
 
     projected = [(p.coords - cert.translation) @ basis.T for p in pts]
     cent_err = max(float(np.linalg.norm(q.mean(axis=0))) for q in projected)
-    add("projected_centroids_vanish", cent_err <= CENTERED_TOL * scale + ABS_GUARD, f"max {cent_err:.3e}")
-
-    for i, (q, sub) in enumerate(zip(projected, cert.per_set)):
-        sub_failures = [c.name for c in check_certificate(sub, PointSet(q)) if not c.ok]
-        add(f"set{i}_partition_certificate", not sub_failures, ", ".join(sub_failures))
-        expected = -(-pts[i].n // cert.m[i])
-        add(
+    checks.add(
+        "projected_centroids_vanish", cent_err <= CENTERED_TOL * scale + ABS_GUARD, f"max {cent_err:.3e}"
+    )
+    for i, (p, sub) in enumerate(zip(pts, cert.per_set)):
+        expected = -(-p.n // cert.m[i])
+        checks.add(
             f"set{i}_depth_bound",
-            cert.depth_lower_bounds[i] == expected == sub.k and 2 <= cert.m[i] <= pts[i].n,
+            cert.depth_lower_bounds[i] == expected == sub.k and 2 <= cert.m[i] <= p.n,
             f"stored {cert.depth_lower_bounds[i]} expected {expected}",
         )
 
     radius = max(2.0 * sub.radius_guaranteed for sub in cert.per_set)
-    add(
-        "radius_is_twice_worst_guarantee",
-        abs(radius - cert.ball.radius) <= REL_SLACK * max(radius, 1.0) + ABS_GUARD
-        and abs(radius - cert.constructive_radius) <= REL_SLACK * max(radius, 1.0) + ABS_GUARD,
-        f"recomputed {radius!r} stored {cert.ball.radius!r}",
-    )
-
-    center_err = float(np.linalg.norm(cert.ball.center))
-    add("ball_centered_at_origin", center_err <= tol, f"err {center_err:.3e}")
-    amb_err = float(
-        np.linalg.norm(cert.ball_center_ambient - (cert.translation + cert.ball.center @ basis))
-    )
-    add("ambient_center_consistent", amb_err <= tol, f"err {amb_err:.3e}")
+    stored = [cert.ball.radius, cert.constructive_radius]
+    checks.close("radius_is_twice_worst_guarantee", [radius, radius], stored, radius)
+    checks.close("ball_centered_at_origin", np.linalg.norm(cert.ball.center), 0.0, scale)
+    ambient = cert.translation + cert.ball.center @ basis
+    amb_err = np.linalg.norm(cert.ball_center_ambient - ambient)
+    checks.close("ambient_center_consistent", amb_err, 0.0, scale)
 
     cover_slack = CENTERED_TOL * scale + REL_SLACK * max(cert.ball.radius, 1.0) + ABS_GUARD
     worst = 0.0
     for q, sub in zip(projected, cert.per_set):
-        if not sub.parts:
-            continue  # its set{i}_partition_certificate check has failed
+        if sorted(i for part in sub.parts for i in part) != list(range(len(q))):
+            continue  # not a partition of the set: check_certificate fails it
         cents = np.stack([q[list(part)].mean(axis=0) for part in sub.parts])
         worst = max(worst, float(np.sqrt(((cents - cert.ball.center) ** 2).sum(axis=1)).max()))
-    add(
+    checks.add(
         "ball_covers_all_part_centroids",
         worst <= cert.ball.radius + cover_slack,
         f"worst {worst!r} radius {cert.ball.radius!r}",
     )
 
-    diams = [diameter_bound(p, p.n if flag else 0) for p, flag in zip(pts, cert.set_diameters_exact)]
-    diam_err = max(abs(dv - sv) for (dv, _), sv in zip(diams, cert.set_diameters))
-    add("set_diameters_match", diam_err <= REL_SLACK * max(scale, 1.0) + ABS_GUARD, f"err {diam_err:.3e}")
+    diams = [diameter_bound(p, p.n if flag else 0)[0] for p, flag in zip(pts, cert.set_diameters_exact)]
+    checks.close("set_diameters_match", diams, cert.set_diameters, scale)
     existential = (2.0 + 2.0 * math.sqrt(2.0)) * max(
         sv / math.sqrt(mi) for sv, mi in zip(cert.set_diameters, cert.m)
     )
-    add(
-        "existential_radius_formula",
-        abs(existential - cert.existential_radius) <= REL_SLACK * max(existential, 1.0) + ABS_GUARD,
-        f"recomputed {existential!r} stored {cert.existential_radius!r}",
-    )
+    checks.close("existential_radius_formula", existential, cert.existential_radius, existential)
 
     member = cert.contains(cert.ball_center_ambient)
     along_lines = True
@@ -385,12 +375,30 @@ def check_depth_certificate(cert: DepthCertificate, sets) -> list[CheckResult]:
         along_lines = along_lines and cert.contains(
             cert.ball_center_ambient + (1.0 + scale) * cert.chain.axes_ambient[j]
         )
-    add("product_contains_center_and_lines", member and along_lines)
+    checks.add("product_contains_center_and_lines", member and along_lines)
+    return checks, projected
 
+
+def check_depth_certificate(cert: DepthCertificate, sets) -> list[CheckResult]:
+    """Recompute every claim of a depth certificate from the raw sets.
+
+    The frame checks (see _frame_checks), then the two re-derivations a
+    build does not need: each per-set certificate rechecked on the
+    recomputed projection, and in the plane the exact oracle depths.
+    A build's own self-check runs the frame checks alone, because each
+    per-set certificate was checked on the same array when it was built
+    and the oracle depths are the oracle's own output.
+    """
+    pts = [_as_point_set(p) for p in sets]
+    checks, projected = _frame_checks(cert, pts)
+    if projected is None:
+        return checks
+    for i, (q, sub) in enumerate(zip(projected, cert.per_set)):
+        failed = [c.name for c in check_certificate(sub, q) if not c.ok]
+        checks.add(f"set{i}_partition_certificate", not failed, ", ".join(failed))
     if cert.oracle_depths is not None:
-        ok = len(cert.oracle_depths) == k and d == 2
+        ok = len(cert.oracle_depths) == len(pts) and pts[0].dim == 2
         if ok:
-            recomputed = tuple(depth_2d_exact(cert.ball_center_ambient, p) for p in pts)
-            ok = recomputed == cert.oracle_depths
-        add("oracle_depths_match", ok)
+            ok = tuple(depth_2d_exact(cert.ball_center_ambient, p) for p in pts) == cert.oracle_depths
+        checks.add("oracle_depths_match", ok)
     return checks

@@ -59,6 +59,7 @@ from .geom import (
     DIAMETER_EXACT_DEFAULT_THRESHOLD,
     Ball,
     PointSet,
+    _as_point_set,
     diameter_bound,
 )
 from .lifting import LiftingGraph, make_graph, quadratic_form, stats
@@ -359,6 +360,32 @@ class CheckResult:
     detail: str
 
 
+class _Checks(list):
+    """The CheckResults of one certificate, in the order its claims are checked."""
+
+    def add(self, name: str, ok: bool, detail: str = "") -> None:
+        self.append(CheckResult(name, bool(ok), detail))
+
+    def close(self, name: str, recomputed, stored, scale: float) -> None:
+        """Pass when |recomputed - stored| <= REL_SLACK * max(scale, 1) + ABS_GUARD.
+
+        Arrays compare entrywise; arrays of different shapes fail.
+        """
+        a = np.asarray(recomputed, dtype=np.float64)
+        b = np.asarray(stored, dtype=np.float64)
+        err = float(np.abs(a - b).max(initial=0.0)) if a.shape == b.shape else math.inf
+        scalar = a.shape == b.shape == ()
+        detail = f"recomputed {float(a)!r} stored {float(b)!r}" if scalar else f"max err {err:.3e}"
+        self.add(name, err <= REL_SLACK * max(scale, 1.0) + ABS_GUARD, detail)
+
+
+def _require(checks: list[CheckResult]) -> None:
+    """A builder's self-check: raise CertificateError naming every failed check."""
+    failures = [c for c in checks if not c.ok]
+    if failures:
+        raise CertificateError(failures)
+
+
 def _parts_from_assign(assign: np.ndarray, k: int) -> tuple[tuple[int, ...], ...]:
     order = np.argsort(assign, kind="stable").tolist()
     ends = np.cumsum(np.bincount(assign, minlength=k)).tolist()
@@ -447,25 +474,21 @@ def check_certificate(cert: TverbergCertificate, points: PointSet) -> list[Check
     Returns one CheckResult per claim; callers decide whether failures
     are fatal. The partition constructors run this and raise.
     """
-    coords = _as_point_set(points).coords
-    n, _ = coords.shape
-    k = cert.k
-    checks: list[CheckResult] = []
+    pts = _as_point_set(points)
+    coords, n, k = pts.coords, pts.n, cert.k
+    checks = _Checks()
     scale = max(cert.diameter_used, 1.0)
 
-    def add(name: str, ok: bool, detail: str = "") -> None:
-        checks.append(CheckResult(name, bool(ok), detail))
-
     flat = sorted(i for part in cert.parts for i in part)
-    add("partition_covers_input", flat == list(range(n)), f"{len(flat)} of {n} rows")
-    add(
+    checks.add("partition_covers_input", flat == list(range(n)), f"{len(flat)} of {n} rows")
+    checks.add(
         "part_sizes_match",
         tuple(len(p) for p in cert.parts) == cert.sizes and sum(cert.sizes) == n,
         f"sizes={tuple(len(p) for p in cert.parts)}",
     )
     if cert.mode == "nearly_balanced":
         expected = _sizes_within_one(n, k) if k else "at least one part"
-        add("nearly_balanced_size_pattern", cert.sizes == expected, f"expected {expected}")
+        checks.add("nearly_balanced_size_pattern", cert.sizes == expected, f"expected {expected}")
     if flat != list(range(n)):
         return checks  # nothing else is well defined
 
@@ -475,60 +498,34 @@ def check_certificate(cert: TverbergCertificate, points: PointSet) -> list[Check
     run_sums, run_counts = _class_sums(coords[:n0] - center, assign[:n0], k)
     tail_sums, tail_counts = _class_sums(coords[n0:] - center, assign[n0:], k)
     cents = _part_centroids(run_sums + tail_sums, run_counts + tail_counts, center)
-    stored = cert.part_centroids
-    cent_err = float(np.abs(cents - stored).max()) if stored.shape == cents.shape else math.inf
-    add("part_centroids_match", cent_err <= REL_SLACK * scale + ABS_GUARD, f"max err {cent_err:.3e}")
-
-    center_err = float(np.linalg.norm(_ball_center(cert.mode, center, cents) - cert.ball.center))
-    add("ball_center_matches_mode", center_err <= REL_SLACK * scale + ABS_GUARD, f"err {center_err:.3e}")
-
+    checks.close("part_centroids_match", cents, cert.part_centroids, scale)
+    center_err = np.linalg.norm(_ball_center(cert.mode, center, cents) - cert.ball.center)
+    checks.close("ball_center_matches_mode", center_err, 0.0, scale)
     achieved = float(np.sqrt(((cents - cert.ball.center) ** 2).sum(axis=1)).max())
-    add(
-        "radius_achieved_matches",
-        abs(achieved - cert.radius_achieved) <= REL_SLACK * scale + ABS_GUARD,
-        f"measured {achieved!r} stored {cert.radius_achieved!r}",
-    )
+    checks.close("radius_achieved_matches", achieved, cert.radius_achieved, scale)
     slack = REL_SLACK * cert.diameter_used + ABS_GUARD
-    add(
+    checks.add(
         "radius_within_guarantee",
         achieved <= cert.radius_guaranteed + slack,
         f"achieved {achieved!r} guaranteed {cert.radius_guaranteed!r}",
     )
 
-    diam_recomputed, _ = diameter_bound(points, n if cert.diameter_exact else 0)
-    diam_err = abs(diam_recomputed - cert.diameter_used)
-    add("diameter_matches", diam_err <= REL_SLACK * scale + ABS_GUARD, f"err {diam_err:.3e}")
+    diam, _ = diameter_bound(pts, n if cert.diameter_exact else 0)
+    checks.close("diameter_matches", diam, cert.diameter_used, scale)
 
     arity = 4 if cert.arity is None else cert.arity
     graph = _graph_for_mode(cert.mode, k, arity)
     guar, bound = _guarantees(cert.mode, n, k, cert.sizes, arity, cert.diameter_used, graph)
-    add(
-        "guarantee_formula",
-        abs(guar - cert.radius_guaranteed) <= REL_SLACK * max(guar, 1.0) + ABS_GUARD,
-        f"recomputed {guar!r} stored {cert.radius_guaranteed!r}",
-    )
-
+    checks.close("guarantee_formula", guar, cert.radius_guaranteed, guar)
     norm = _traversal_norm(run_sums, run_counts, graph)
-    add(
-        "traversal_norm_matches",
-        abs(norm - cert.traversal_centroid_norm) <= REL_SLACK * scale + ABS_GUARD,
-        f"recomputed {norm!r} stored {cert.traversal_centroid_norm!r}",
-    )
-    add(
+    checks.close("traversal_norm_matches", norm, cert.traversal_centroid_norm, scale)
+    checks.add(
         "traversal_norm_within_bound",
         cert.traversal_centroid_norm <= cert.traversal_norm_bound + slack,
         f"norm {cert.traversal_centroid_norm!r} bound {cert.traversal_norm_bound!r}",
     )
-    add(
-        "traversal_bound_formula",
-        abs(bound - cert.traversal_norm_bound) <= REL_SLACK * max(bound, 1.0) + ABS_GUARD,
-        f"recomputed {bound!r} stored {cert.traversal_norm_bound!r}",
-    )
+    checks.close("traversal_bound_formula", bound, cert.traversal_norm_bound, bound)
     return checks
-
-
-def _as_point_set(points) -> PointSet:
-    return points if isinstance(points, PointSet) else PointSet(points)
 
 
 def _partition(pts: PointSet, mode: str, sizes, arity, threshold: int) -> TverbergCertificate:
@@ -572,9 +569,7 @@ def _partition(pts: PointSet, mode: str, sizes, arity, threshold: int) -> Tverbe
         diameter_used=diam,
         diameter_exact=diam_exact,
     )
-    failures = [c for c in check_certificate(cert, pts) if not c.ok]
-    if failures:
-        raise CertificateError(failures)
+    _require(check_certificate(cert, pts))
     return cert
 
 

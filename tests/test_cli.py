@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -297,10 +298,14 @@ def _truncate_centroids(sub):
     sub["part_centroids"] = sub["part_centroids"][:2]
 
 
+def _index_out_of_range(sub):
+    sub["parts"][0][0] = 10**6
+
+
 @pytest.mark.parametrize("kind", ["tverberg", "hamsandwich"])
 @pytest.mark.parametrize(
     "edit",
-    [_shrink_radius, _move_index, _nudge_centroid, _empty_parts, _truncate_centroids],
+    [_shrink_radius, _move_index, _nudge_centroid, _empty_parts, _truncate_centroids, _index_out_of_range],
     ids=lambda f: f.__name__.lstrip("_"),
 )
 def test_tampered_certificate_fails_verify(tmp_path, capsys, kind, edit):
@@ -344,6 +349,37 @@ def test_tampered_chain_fails_verify(tmp_path, capsys, edit):
     capsys.readouterr()
     assert cli.main(["verify", str(bad), *inputs]) == cli.EXIT_CHECK_FAILED
     assert "FAIL chain_replays_from_axes_local" in capsys.readouterr().out
+
+
+def _cut_set_diameters(doc):
+    # one exactness flag for two sets, and a tripled second diameter that
+    # the existential radius is recomputed from
+    doc["set_diameters_exact"] = doc["set_diameters_exact"][:1]
+    doc["set_diameters"][1] *= 3.0
+    pairs = zip(doc["set_diameters"], doc["parameters"]["m"])
+    doc["existential_radius"] = (2.0 + 2.0 * math.sqrt(2.0)) * max(v / math.sqrt(m) for v, m in pairs)
+
+
+_MISSHAPEN_FRAMES = {
+    "basis_one_row": lambda doc: doc.update(subspace_basis=doc["subspace_basis"][:1]),
+    "center_local_too_long": lambda doc: doc["ball"]["center_local"].append(0.0),
+    "translation_too_short": lambda doc: doc.update(translation=doc["translation"][:2]),
+    "m_one_entry": lambda doc: doc["parameters"].update(m=doc["parameters"]["m"][:1]),
+    "set_diameters_cut": _cut_set_diameters,
+}
+
+
+@pytest.mark.parametrize("edit", list(_MISSHAPEN_FRAMES))
+def test_misshapen_frame_fails_shapes_consistent(tmp_path, capsys, edit):
+    out, inputs = _hamsandwich_run(tmp_path, 60)
+    doc = json.loads(out.read_text())
+    _MISSHAPEN_FRAMES[edit](doc)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(cli.emit_document(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(bad), *inputs]) == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "FAIL shapes_consistent" in captured.out and "Traceback" not in captured.err
 
 
 def test_timing_flag_controls_timing_field(tmp_path):
