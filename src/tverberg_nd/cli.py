@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from xml.sax.saxutils import quoteattr
 
 import numpy as np
@@ -72,8 +73,14 @@ class ParseError(Exception):
 
 
 def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+    """sha256 of the file's bytes, read through one 256 KiB buffer, not an input-sized one."""
+    digest = hashlib.sha256()
+    buf = bytearray(1 << 18)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buf):
+            digest.update(view[:size])
+    return "sha256:" + digest.hexdigest()
 
 
 def _looks_like_json(path: str) -> bool:
@@ -109,27 +116,30 @@ def _check_dim(path: str, doc: dict, width: int) -> None:
         raise ParseError(path, "dim field does not match point width")
 
 
-def load_points(path: str) -> PointSet:
-    """Read a point set from CSV (one row per point) or JSON."""
-    if _looks_like_json(path):
-        doc = _load_json(path)
-        if not isinstance(doc, dict) or "points" not in doc:
-            raise ParseError(path, 'expected an object with a "points" array')
-        try:
-            arr = np.asarray(doc["points"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(path, f"points are not rectangular numbers: {exc}") from exc
-        if arr.ndim != 2:
-            raise ParseError(path, "points must form a 2-d array")
-        _check_dim(path, doc, arr.shape[1])
-        if not np.isfinite(arr).all():
-            raise ParseError(path, "points must be finite")
-        return PointSet(arr)
+def _load_csv_fast(path: str) -> np.ndarray | None:
+    """The rows as numpy's C reader parses them, or None to defer to _load_csv_lines.
 
+    It accepts only comma-separated rows of equal width with no header,
+    comment or whitespace-only line, and parses each field to the double
+    that float() gives; comments=None keeps "1,2 # note" an error, as in
+    the line parser. Anything it rejects, and any non-finite value, goes
+    to the line parser, so that parser alone words the errors.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty file warns before returning
+            arr = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, encoding="utf-8-sig")
+    except Exception:
+        return None
+    return arr if arr.size and np.isfinite(arr).all() else None
+
+
+def _load_csv_lines(path: str) -> np.ndarray:
+    """Read the rows field by field; the reference for the CSV contract and its errors."""
     rows: list[list[float]] = []
     width = None
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "r", encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(path, str(exc)) from exc
     with fh:
@@ -153,7 +163,27 @@ def load_points(path: str) -> PointSet:
             rows.append(vals)
     if not rows:
         raise ParseError(path, "no data rows")
-    return PointSet(np.asarray(rows, dtype=np.float64))
+    return np.asarray(rows, dtype=np.float64)
+
+
+def load_points(path: str) -> PointSet:
+    """Read a point set from CSV (one row per point) or JSON."""
+    if _looks_like_json(path):
+        doc = _load_json(path)
+        if not isinstance(doc, dict) or "points" not in doc:
+            raise ParseError(path, 'expected an object with a "points" array')
+        try:
+            arr = np.asarray(doc["points"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(path, f"points are not rectangular numbers: {exc}") from exc
+        if arr.ndim != 2:
+            raise ParseError(path, "points must form a 2-d array")
+        _check_dim(path, doc, arr.shape[1])
+        if not np.isfinite(arr).all():
+            raise ParseError(path, "points must be finite")
+        return PointSet(arr)
+    arr = _load_csv_fast(path)
+    return PointSet(_load_csv_lines(path) if arr is None else arr)
 
 
 def load_classes(path: str) -> ColorInstance:
@@ -178,11 +208,22 @@ def load_classes(path: str) -> ColorInstance:
 # ------------------------------------------------------------- JSON output
 
 
+_FLOAT = "{:.17g}".format
+
+
 def _jsonify(value):
-    """Render a document fragment with 17-significant-digit floats."""
+    """Render a document fragment with 17-significant-digit floats.
+
+    Float matrices and lists of plain ints, the bulk of a certificate,
+    are rendered flat; the strings are those of the recursive rules.
+    """
     if isinstance(value, dict):
         return "{" + ",".join(f"{json.dumps(k)}:{_jsonify(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.float64:
+        return "[" + ",".join("[" + ",".join(map(_FLOAT, row)) + "]" for row in value.tolist()) + "]"
     if isinstance(value, (list, tuple)):
+        if all(type(v) is int for v in value):
+            return "[" + ",".join(map(str, value)) + "]"
         return "[" + ",".join(_jsonify(v) for v in value) + "]"
     if isinstance(value, np.ndarray):
         return _jsonify(value.tolist())
@@ -191,7 +232,7 @@ def _jsonify(value):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+        return _FLOAT(float(value))
     if value is None:
         return "null"
     if isinstance(value, str):

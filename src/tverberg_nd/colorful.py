@@ -30,7 +30,7 @@ import numpy as np
 
 from .geom import Ball, diameter_exact
 from .lifting import make_graph, quadratic_form
-from .tverberg import ABS_GUARD, REL_SLACK, CheckResult, InfeasibleError, _Checks, _require
+from .tverberg import ABS_GUARD, REL_SLACK, CheckResult, InfeasibleError, _Checks, _distance, _radius, _require
 
 __all__ = [
     "ColorInstance",
@@ -195,7 +195,7 @@ def partition_colorful(classes) -> ColorfulCertificate:
     cents = running / n
     max_diam = inst.max_class_diameter
     guaranteed = colorful_radius_bound(n, k, max_diam)
-    achieved = float(np.sqrt(((cents - cents[0]) ** 2).sum(axis=1)).max())
+    achieved = _radius(cents, cents[0])
     norm = math.sqrt(max(quadratic_form(make_graph("star", k), running), 0.0))
 
     cert = ColorfulCertificate(
@@ -240,8 +240,8 @@ def check_colorful_certificate(cert: ColorfulCertificate, classes) -> list[Check
     sums = _node_sums(inst, cert.shifts)
     cents = sums / n
     checks.close("part_centroids_match", cents, cert.part_centroids, scale)
-    checks.close("ball_center_is_hub_centroid", np.linalg.norm(cents[0] - cert.ball.center), 0.0, scale)
-    achieved = float(np.sqrt(((cents - cents[0]) ** 2).sum(axis=1)).max())
+    checks.close("ball_center_is_hub_centroid", _distance(cents[0], cert.ball.center), 0.0, scale)
+    achieved = _radius(cents, cents[0])
     checks.close("radius_achieved_matches", achieved, cert.radius_achieved, scale)
     slack = REL_SLACK * scale + ABS_GUARD
     checks.add(

@@ -194,11 +194,18 @@ def diameter_exact(points) -> float:
     rescored rectangle row of at most n d floats where that is larger.
     Inputs with many exact ties, such as duplicated clusters, thus cost
     the budget in memory and at most one full pairwise pass in time.
+
+    At d = 1 no scan is needed: rounding is monotone, so the pair (max,
+    min) maximizes ``fl(x_i - x_j)^2``, and ``sqrt(fl(max - min)^2)`` is
+    the same value bit for bit.
     """
     arr = _as_point_set(points).coords
     n, d = arr.shape
     if n == 0:
         raise ValueError("empty point set")
+    if d == 1:
+        span = float(arr.max()) - float(arr.min())
+        return math.sqrt(span * span)
     c = arr - arr[0]
     if not c.any():
         return 0.0  # every row equals row 0

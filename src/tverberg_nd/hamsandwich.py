@@ -48,6 +48,7 @@ from .tverberg import (
     InfeasibleError,
     TverbergCertificate,
     _Checks,
+    _radius,
     _require,
     check_certificate,
     partition_nearly_balanced,
@@ -355,7 +356,7 @@ def _frame_checks(cert: DepthCertificate, pts: list[PointSet]) -> tuple[_Checks,
         if sorted(i for part in sub.parts for i in part) != list(range(len(q))):
             continue  # not a partition of the set: check_certificate fails it
         cents = np.stack([q[list(part)].mean(axis=0) for part in sub.parts])
-        worst = max(worst, float(np.sqrt(((cents - cert.ball.center) ** 2).sum(axis=1)).max()))
+        worst = max(worst, _radius(cents, cert.ball.center))
     checks.add(
         "ball_covers_all_part_centroids",
         worst <= cert.ball.radius + cover_slack,

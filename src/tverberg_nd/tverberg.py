@@ -379,6 +379,18 @@ class _Checks(list):
         self.add(name, err <= REL_SLACK * max(scale, 1.0) + ABS_GUARD, detail)
 
 
+def _distance(a: np.ndarray, b: np.ndarray) -> float:
+    """|a - b| for two points of one dimension; inf when the dimensions differ."""
+    return float(np.linalg.norm(a - b)) if a.shape == b.shape else math.inf
+
+
+def _radius(cents: np.ndarray, center: np.ndarray) -> float:
+    """Largest distance from center to a row of cents; inf when the dimensions differ."""
+    if center.shape != cents.shape[1:]:
+        return math.inf
+    return float(np.sqrt(((cents - center) ** 2).sum(axis=1)).max())
+
+
 def _require(checks: list[CheckResult]) -> None:
     """A builder's self-check: raise CertificateError naming every failed check."""
     failures = [c for c in checks if not c.ok]
@@ -499,9 +511,9 @@ def check_certificate(cert: TverbergCertificate, points: PointSet) -> list[Check
     tail_sums, tail_counts = _class_sums(coords[n0:] - center, assign[n0:], k)
     cents = _part_centroids(run_sums + tail_sums, run_counts + tail_counts, center)
     checks.close("part_centroids_match", cents, cert.part_centroids, scale)
-    center_err = np.linalg.norm(_ball_center(cert.mode, center, cents) - cert.ball.center)
+    center_err = _distance(_ball_center(cert.mode, center, cents), cert.ball.center)
     checks.close("ball_center_matches_mode", center_err, 0.0, scale)
-    achieved = float(np.sqrt(((cents - cert.ball.center) ** 2).sum(axis=1)).max())
+    achieved = _radius(cents, cert.ball.center)
     checks.close("radius_achieved_matches", achieved, cert.radius_achieved, scale)
     slack = REL_SLACK * cert.diameter_used + ABS_GUARD
     checks.add(
@@ -553,7 +565,7 @@ def _partition(pts: PointSet, mode: str, sizes, arity, threshold: int) -> Tverbe
     ball_center = _ball_center(mode, center, cents)
     diam, diam_exact = diameter_bound(pts, threshold)
     guaranteed, bound = _guarantees(mode, n, k, sizes, arity, diam, graph)
-    achieved = float(np.sqrt(((cents - ball_center) ** 2).sum(axis=1)).max())
+    achieved = _radius(cents, ball_center)
 
     cert = TverbergCertificate(
         mode=mode,

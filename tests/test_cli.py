@@ -330,6 +330,32 @@ def test_tampered_certificate_fails_verify(tmp_path, capsys, kind, edit):
     assert expected in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("resize", ["append", "truncate"])
+@pytest.mark.parametrize(
+    "kind, check", [("tverberg", "ball_center_matches_mode"), ("colorful", "ball_center_is_hub_centroid")]
+)
+def test_wrong_length_ball_center_fails_named_check(tmp_path, capsys, kind, check, resize):
+    data, out = tmp_path / "in", tmp_path / "c.json"
+    if kind == "tverberg":
+        cli.main(["gen", "--n", "40", "--d", "3", "--seed", "1", "--out", str(data)])
+        cli.main(["tverberg", str(data), "--k", "4", "--out", str(out)])
+    else:
+        cli.main(["gen", "--classes", "3", "--k", "4", "--d", "3", "--seed", "1", "--out", str(data)])
+        cli.main(["colorful", str(data), "--out", str(out)])
+    doc = json.loads(out.read_text())
+    center = doc["ball"]["center"]
+    doc["ball"]["center"] = center + [0.0] if resize == "append" else center[:1]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(cli.emit_document(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(bad), str(data)]) == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert f"FAIL {check}  (recomputed inf stored 0.0)" in captured.out
+    assert "Traceback" not in captured.err
+    if kind == "tverberg":
+        assert "FAIL radius_achieved_matches" in captured.out
+
+
 def _tilt_axis(doc):
     doc["axes_local"][0][0] += 0.5
 

@@ -88,6 +88,23 @@ def test_diameter_exact_equals_pairwise_scan(n, d, spread_exp, offset_exp, seed)
     assert diameter_exact(pts) == diameter_pairwise(pts)
 
 
+_LINE_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e308, max_value=1e308).map(lambda v: math.copysign(1e308, v) - v / 1e10),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e308, -1e308]),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_LINE_VALUES, min_size=1, max_size=40), st.integers(0, 3))
+def test_diameter_exact_on_a_line_equals_pairwise_scan(values, repeats):
+    # ties from repeated values, mixed signs, subnormals, and spans that overflow
+    pts = np.array(values * (repeats + 1)).reshape(-1, 1)
+    with np.errstate(over="ignore"):
+        expected = diameter_pairwise(pts)
+    assert diameter_exact(pts).hex() == expected.hex()
+
+
 @pytest.mark.parametrize(
     "pts",
     [
