@@ -83,11 +83,23 @@ def _digest(path: str) -> str:
     return "sha256:" + digest.hexdigest()
 
 
+def _not_utf8(path: str) -> ParseError:
+    """The parse error for a file that is not UTF-8 text, naming the line of its first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines ending before the bad byte, plus the one holding it
+        return ParseError(path, "not valid UTF-8", len((data[: exc.start] + b".").splitlines()))
+    return ParseError(path, "not valid UTF-8")
+
+
 def _looks_like_json(path: str) -> bool:
     if path.endswith(".json"):
         return True
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
             head = fh.read(64).lstrip()
     except OSError as exc:
         raise ParseError(path, str(exc)) from exc
@@ -102,6 +114,8 @@ def _load_json(path: str) -> dict:
         raise ParseError(path, str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.msg, exc.lineno) from exc
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
 
 
 def _check_dim(path: str, doc: dict, width: int) -> None:
@@ -143,24 +157,29 @@ def _load_csv_lines(path: str) -> np.ndarray:
     except OSError as exc:
         raise ParseError(path, str(exc)) from exc
     with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            fields = text.replace(",", " ").split()
-            try:
-                vals = [float(f) for f in fields]
-            except ValueError:
-                if lineno == 1 and not rows:
-                    continue  # header row
-                raise ParseError(path, f"non-numeric field in {fields!r}", lineno) from None
-            if not all(math.isfinite(v) for v in vals):
-                raise ParseError(path, "points must be finite", lineno)
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise ParseError(path, f"expected {width} columns, found {len(vals)}", lineno)
-            rows.append(vals)
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                text = raw.strip()
+                if not text or text.startswith("#"):
+                    continue
+                fields = text.replace(",", " ").split()
+                if not fields:
+                    raise ParseError(path, "a line of separators holds no field", lineno)
+                try:
+                    vals = [float(f) for f in fields]
+                except ValueError:
+                    if lineno == 1 and not rows:
+                        continue  # header row
+                    raise ParseError(path, f"non-numeric field in {fields!r}", lineno) from None
+                if not all(math.isfinite(v) for v in vals):
+                    raise ParseError(path, "points must be finite", lineno)
+                if width is None:
+                    width = len(vals)
+                elif len(vals) != width:
+                    raise ParseError(path, f"expected {width} columns, found {len(vals)}", lineno)
+                rows.append(vals)
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     if not rows:
         raise ParseError(path, "no data rows")
     return np.asarray(rows, dtype=np.float64)

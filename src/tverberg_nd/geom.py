@@ -4,7 +4,8 @@ Everything runs on float64 numpy arrays. A point is a 1-d array; a point
 set wraps an (n, d) array whose row order is significant, because every
 certificate refers to points by row index. Arrays inside the frozen
 containers are marked read-only, so a container computes its exact
-diameter once (PointSet.diameter) and every later reader shares it.
+diameter (PointSet.diameter) and its upper bound (PointSet.upper_diameter)
+once each, and every later reader shares them.
 """
 
 from __future__ import annotations
@@ -82,6 +83,11 @@ class PointSet:
     def diameter(self) -> float:
         """Exact diameter of the rows, computed on first use and then kept."""
         return diameter_exact(self)
+
+    @cached_property
+    def upper_diameter(self) -> float:
+        """The bound diameter_upper of the rows, computed on first use and then kept."""
+        return diameter_upper(self)
 
     def subset(self, indices) -> "PointSet":
         """New PointSet holding the given rows, in the given order."""
@@ -239,11 +245,10 @@ def diameter_exact(points) -> float:
 
 def diameter_upper(points) -> float:
     """2 * max distance to the centroid; always within [diam, 2 diam]."""
-    arr = _as_point_set(points).coords
-    if arr.shape[0] == 0:
+    pts = _as_point_set(points)
+    if pts.n == 0:
         raise ValueError("empty point set")
-    c = centroid(arr)
-    diff = arr - c
+    diff = pts.coords - centroid(pts)
     return 2.0 * math.sqrt(float(np.einsum("ij,ij->i", diff, diff).max()))
 
 
@@ -251,13 +256,13 @@ def diameter_bound(points, exact_threshold: int = DIAMETER_EXACT_DEFAULT_THRESHO
     """Diameter value plus a flag telling whether it is exact.
 
     Sets with at most exact_threshold points get the exact pairwise
-    diameter, cached on the PointSet; larger ones get the centroid-based
-    upper bound.
+    diameter, larger ones the centroid-based upper bound; the PointSet
+    caches either.
     """
     pts = _as_point_set(points)
     if pts.n <= exact_threshold:
         return pts.diameter, True
-    return diameter_upper(pts), False
+    return pts.upper_diameter, False
 
 
 def translate(points: PointSet, v) -> PointSet:

@@ -230,7 +230,7 @@ class DepthCertificate:
         return float(np.linalg.norm(z - self.ball.center)) <= self.ball.radius + tol
 
 
-def generalized_ham_sandwich(sets, m, diameter_exact_threshold: int = 4096) -> DepthCertificate:
+def generalized_ham_sandwich(sets, m) -> DepthCertificate:
     """Build a depth certificate shared by the k input sets (k <= d)."""
     pts = _validated_sets(sets)
     m = tuple(int(v) for v in m)
@@ -240,7 +240,7 @@ def generalized_ham_sandwich(sets, m, diameter_exact_threshold: int = 4096) -> D
     ball, per_set, depths = joint_depth_ball(projected, m)
     center_ambient = t + ball.center @ chain.basis
 
-    diams = [diameter_bound(p, diameter_exact_threshold) for p in pts]
+    diams = [diameter_bound(p) for p in pts]
     existential = (2.0 + 2.0 * math.sqrt(2.0)) * max(
         dv / math.sqrt(mi) for (dv, _), mi in zip(diams, m)
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,7 +54,11 @@ def heap_children(x: int, arity: int, k: int) -> range:
 
 @dataclass(frozen=True)
 class LiftingGraph:
-    """Connected simple graph whose nodes carry the implicit lifting vectors."""
+    """Connected simple graph whose nodes carry the implicit lifting vectors.
+
+    The arrays derived from the adjacency are computed on first use and
+    kept, so every user of a make_graph instance shares them.
+    """
 
     k: int
     adjacency: tuple[tuple[int, ...], ...]  # sorted neighbor tuples
@@ -94,19 +98,22 @@ class LiftingGraph:
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
 
-    @property
+    @cached_property
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.adjacency], dtype=np.int64)
+        deg = np.array([len(a) for a in self.adjacency], dtype=np.int64)
+        deg.setflags(write=False)
+        return deg
 
-    @property
+    @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as (low, high) pairs in lexicographic order."""
-        out = []
-        for i, nbrs in enumerate(self.adjacency):
-            for j in nbrs:
-                if j > i:
-                    out.append((i, j))
-        return tuple(out)
+        return tuple((i, j) for i, nbrs in enumerate(self.adjacency) for j in nbrs if j > i)
+
+    @cached_property
+    def _edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The low and the high endpoints of every edge, as two index arrays."""
+        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        return ends[:, 0], ends[:, 1]
 
     @property
     def edge_count(self) -> int:
@@ -197,11 +204,7 @@ def quadratic_form(g: LiftingGraph, vectors) -> float:
     arr = np.asarray(vectors, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != g.k:
         raise ValueError("need one row vector per graph node")
-    edges = g.edges
-    if not edges:
-        return 0.0
-    ei = np.fromiter((e[0] for e in edges), dtype=np.intp, count=len(edges))
-    ej = np.fromiter((e[1] for e in edges), dtype=np.intp, count=len(edges))
+    ei, ej = g._edge_index
     diff = arr[ei] - arr[ej]
     return float(np.einsum("ij,ij->", diff, diff))
 

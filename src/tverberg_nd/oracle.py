@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import PointSet, as_point, centroid, diameter_bound
+from .geom import _as_point_set, as_point, centroid, diameter_bound
 from .lifting import LiftingGraph, make_graph
 
 __all__ = [
@@ -124,7 +124,7 @@ def enumerate_traversals(points, sizes, graph: LiftingGraph) -> EnumerationRepor
     Points are used as given (no centering). The argmin is the first
     minimizer in generation order.
     """
-    arr = points.coords if isinstance(points, PointSet) else PointSet(points).coords
+    arr = _as_point_set(points).coords
     n = arr.shape[0]
     sizes = tuple(int(r) for r in sizes)
     if sum(sizes) != n:
@@ -165,7 +165,7 @@ def enumerate_colorful(classes, graph: LiftingGraph | None = None) -> Enumeratio
     score of a shift tuple is ||c(X)||^2 for the mean of the lifted class
     points, built with explicit tensors.
     """
-    mats = [c.coords if isinstance(c, PointSet) else PointSet(c).coords for c in classes]
+    mats = [_as_point_set(c).coords for c in classes]
     n = len(mats)
     if n == 0:
         raise ValueError("need at least one class")
@@ -213,7 +213,7 @@ def diameter_pairwise(points) -> float:
     Materializes the difference vectors of 64 rows against all later rows
     per step; ``geom.diameter_exact`` must return exactly this value.
     """
-    arr = points.coords if isinstance(points, PointSet) else PointSet(points).coords
+    arr = _as_point_set(points).coords
     n = arr.shape[0]
     if n == 0:
         raise ValueError("empty point set")
@@ -243,7 +243,7 @@ def dist_to_hull(x, points, tol: float | None = None) -> float:
             iteration budget; the error carries the bracketing interval.
     """
     x = as_point(x)
-    arr = points.coords if isinstance(points, PointSet) else PointSet(points).coords
+    arr = _as_point_set(points).coords
     if arr.shape[0] == 0:
         raise ValueError("empty point set")
     if arr.shape[1] != x.shape[0]:
@@ -290,7 +290,7 @@ def depth_2d_exact(x, points) -> int:
     most 1000 points are supported.
     """
     x = as_point(x)
-    arr = points.coords if isinstance(points, PointSet) else PointSet(points).coords
+    arr = _as_point_set(points).coords
     if x.shape[0] != 2 or arr.shape[1] != 2:
         raise ValueError("depth oracle only supports dimension 2")
     if arr.shape[0] > 1000:

@@ -78,7 +78,6 @@ __all__ = [
     "radius_bound",
     "select_class",
     "step_coefficients",
-    "step_objective",
     "traversal_norm_bound",
 ]
 
@@ -146,9 +145,6 @@ class _TraversalState:
         self.quota_bal = 2.0 * (self.quota * self.deg - nbr_quota)
         self.sum_bal = np.zeros((k, dim))
 
-    def objective(self, i: int, coef_n: float, coef_r: float, w: np.ndarray) -> float:
-        return coef_n * self.deg[i] + coef_r * self.quota_bal[i] + float(self.sum_bal[i] @ w)
-
     def objectives(self, coef_n: float, coef_r: float, w: np.ndarray) -> np.ndarray:
         return coef_n * self.deg + coef_r * self.quota_bal + self.sum_bal @ w
 
@@ -165,23 +161,6 @@ class _TraversalState:
         self.quota_bal[nbrs] += 2.0
         self.sum_bal[i] += self.deg[i] * two_p
         self.sum_bal[nbrs] -= two_p
-
-    # -- introspection used by the recomputation tests --
-
-    def quota_balance(self) -> np.ndarray:
-        return self.quota_bal.copy()
-
-    def sum_balance(self) -> np.ndarray:
-        return self.sum_bal.copy()
-
-
-def step_objective(state, class_index: int, coef_n: float, coef_r: float, w) -> float:
-    """Class-dependent part of the conditional expectation for one choice."""
-    if not 0 <= class_index < state.k:
-        raise ValueError("class index out of range")
-    return state.objective(
-        class_index, float(coef_n), float(coef_r), np.asarray(w, dtype=np.float64)
-    )
 
 
 def step_coefficients(point, t: int, prefix_sum, prefix_sq: float):
@@ -492,16 +471,14 @@ def check_certificate(cert: TverbergCertificate, points: PointSet) -> list[Check
     scale = max(cert.diameter_used, 1.0)
 
     flat = sorted(i for part in cert.parts for i in part)
-    checks.add("partition_covers_input", flat == list(range(n)), f"{len(flat)} of {n} rows")
-    checks.add(
-        "part_sizes_match",
-        tuple(len(p) for p in cert.parts) == cert.sizes and sum(cert.sizes) == n,
-        f"sizes={tuple(len(p) for p in cert.parts)}",
-    )
+    covers = flat == list(range(n))
+    checks.add("partition_covers_input", covers, f"{len(flat)} of {n} rows")
+    sizes = tuple(len(p) for p in cert.parts)
+    checks.add("part_sizes_match", sizes == cert.sizes and sum(cert.sizes) == n, f"sizes={sizes}")
     if cert.mode == "nearly_balanced":
         expected = _sizes_within_one(n, k) if k else "at least one part"
         checks.add("nearly_balanced_size_pattern", cert.sizes == expected, f"expected {expected}")
-    if flat != list(range(n)):
+    if not covers:
         return checks  # nothing else is well defined
 
     assign = _assign_from_parts(cert.parts, n)
@@ -585,12 +562,7 @@ def _partition(pts: PointSet, mode: str, sizes, arity, threshold: int) -> Tverbe
     return cert
 
 
-def partition_general(
-    points,
-    sizes,
-    arity: int = 4,
-    diameter_exact_threshold: int = DIAMETER_EXACT_DEFAULT_THRESHOLD,
-) -> TverbergCertificate:
+def partition_general(points, sizes, arity: int = 4) -> TverbergCertificate:
     """Partition into classes of the prescribed sizes.
 
     The lifting graph is a balanced arity-ary tree; the ball is centered
@@ -605,14 +577,10 @@ def partition_general(
         raise InfeasibleError("class sizes must sum to the number of points")
     if arity < 2:
         raise InfeasibleError("tree arity must be at least 2")
-    return _partition(pts, "general", sizes, arity, diameter_exact_threshold)
+    return _partition(pts, "general", sizes, arity, DIAMETER_EXACT_DEFAULT_THRESHOLD)
 
 
-def partition_balanced(
-    points,
-    k: int,
-    diameter_exact_threshold: int = DIAMETER_EXACT_DEFAULT_THRESHOLD,
-) -> TverbergCertificate:
+def partition_balanced(points, k: int) -> TverbergCertificate:
     """Partition into k equal classes (k must divide n).
 
     Uses the star lifting; the ball is centered at the first part's
@@ -627,7 +595,7 @@ def partition_balanced(
         raise InfeasibleError(
             "class count must divide the point count; use partition_nearly_balanced otherwise"
         )
-    return _partition(pts, "balanced", (pts.n // k,) * k, None, diameter_exact_threshold)
+    return _partition(pts, "balanced", (pts.n // k,) * k, None, DIAMETER_EXACT_DEFAULT_THRESHOLD)
 
 
 def partition_nearly_balanced(

@@ -16,6 +16,7 @@ from tverberg_nd.tverberg import ABS_GUARD, REL_SLACK, CertificateError
 # Every binding through which the package calls these functions.
 _COUNTED = [
     (geom, "diameter_exact"),
+    (geom, "diameter_upper"),
     (colorful, "diameter_exact"),
     (tverberg, "check_certificate"),
     (hamsandwich, "check_certificate"),
@@ -47,6 +48,18 @@ def test_containers_cache_their_exact_diameters(calls):
     assert inst.max_class_diameter == max(diameter_pairwise(c) for c in inst.classes)
     assert inst.max_class_diameter > 0.0
     assert calls["diameter_exact"] == 1 + 5
+
+
+def test_tverberg_build_computes_the_upper_diameter_once(calls):
+    pts = np.random.default_rng(34).standard_normal((5000, 3))
+    cert = tverberg.partition_nearly_balanced(pts, 7)
+    assert not cert.diameter_exact  # 5000 rows lie above the exact-diameter threshold
+    # the build and its self-check share the bound cached on one PointSet
+    assert {name: calls[name] for name in ("diameter_upper", "diameter_exact", "check_certificate")} == {
+        "diameter_upper": 1,
+        "diameter_exact": 0,
+        "check_certificate": 1,
+    }
 
 
 @pytest.mark.parametrize("d,planar", [(3, False), (2, True)])

@@ -230,6 +230,10 @@ def test_verify_digest_and_tamper_exit_codes(tmp_path, capsys):
         "mode_unknown",
         "per_set_mode_unknown",
         "arity_too_small",
+        "csv_separators_only",
+        "csv_not_utf8",
+        "json_points_not_utf8",
+        "certificate_not_utf8",
     ],
 )
 def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
@@ -263,6 +267,20 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
         hdoc["per_set"][0]["mode"] = "nosuch"
         bad.write_bytes(cli.emit_document(hdoc))
         argvs[case] = ["verify", str(bad), *inputs]
+    elif case == "csv_separators_only":
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1.0 # note\n,\n")  # the header line leaves no data row
+        argvs[case] = ["tverberg", str(bad), "--k", "1", "--out", str(out)]
+    elif case == "csv_not_utf8":
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"0.0,1.0\n2.0,\xff\n")
+        argvs[case] = ["tverberg", str(bad), "--k", "1", "--out", str(out)]
+    elif case == "json_points_not_utf8":
+        bad.write_bytes(b'{"points": [[0.0, 1.0]], "note": "\xff"}')
+        argvs[case] = ["tverberg", str(bad), "--k", "1", "--out", str(out)]
+    elif case == "certificate_not_utf8":
+        bad.write_bytes(b"\xff" + cli.emit_document(doc))
+        argvs[case] = ["verify", str(bad), str(data)]
     elif case not in argvs:
         edits = {
             "top_level_list": lambda d: [d],
@@ -276,6 +294,8 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
     assert cli.main(argvs[case]) == cli.EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and "Traceback" not in err
+    if case == "csv_not_utf8":
+        assert err.rstrip().endswith("bad.csv:2: not valid UTF-8")  # the line holding the bad byte
 
 
 def _shrink_radius(sub):

@@ -150,3 +150,12 @@ def test_quadratic_form_zero_iff_rows_equal():
     assert quadratic_form(g, u2) > 0.0
     with pytest.raises(ValueError):
         quadratic_form(g, np.zeros((5, 2)))
+
+
+def test_derived_arrays_are_computed_once_and_read_only():
+    g = make_graph("balanced_ary", 9, 2)
+    assert g.degrees is g.degrees and g.edges is g.edges and g._edge_index is g._edge_index
+    assert not g.degrees.flags.writeable
+    lo, hi = g._edge_index
+    assert list(zip(lo.tolist(), hi.tolist())) == list(g.edges)
+    assert make_graph("star", 1)._edge_index[0].size == 0

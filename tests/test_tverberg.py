@@ -23,7 +23,6 @@ from tverberg_nd.tverberg import (
     radius_bound,
     select_class,
     step_coefficients,
-    step_objective,
     traversal_norm_bound,
 )
 
@@ -153,7 +152,8 @@ def test_step_objective_matches_exhaustive_conditional_expectation(layout):
             q2 = list(quota)
             q2[i] -= 1
             exact[i] = _brute_mean(graph, s2, centered[:t], q2)
-        phis = {i: step_objective(state, i, cn, cr, w) for i in exact}
+        vals = state.objectives(cn, cr, w)
+        phis = {i: float(vals[i]) for i in exact}
         scale = 1.0 + max(abs(v) for v in exact.values())
         base = next(iter(exact))
         for i in exact:
@@ -184,8 +184,6 @@ def test_step_coefficients_last_row():
 def test_step_objective_rejects_bad_class():
     state = tv._TraversalState(make_graph("star", 3), (2, 2, 2), 2)
     with pytest.raises(ValueError):
-        step_objective(state, 3, 1.0, 0.0, np.zeros(2))
-    with pytest.raises(ValueError):
         apply_selection(state, -1, np.zeros(2))
 
 
@@ -205,7 +203,7 @@ def test_select_class_is_masked_argmin():
     # the exhausted hub scores -3 against -1 for each leaf, yet is skipped
     assert select_class(state, -1.0, 0.0, w) == 1
     apply_selection(state, 2, np.ones(1))
-    assert state.quota_balance().tolist() == [-10.0, 4.0, 2.0, 4.0]
+    assert state.quota_bal.tolist() == [-10.0, 4.0, 2.0, 4.0]
     assert select_class(state, 0.0, 1.0, w) == 2  # smallest feasible, not smallest overall
 
     exhausted = tv._TraversalState(make_graph("star", 3), (0, 0, 0), 1)
@@ -241,9 +239,9 @@ def test_state_invariants_after_random_applies(kind):
         if step % every == 0 or quota.sum() == 0:
             nbr_q = np.array([quota[list(graph.adjacency[j])].sum() for j in range(k)], np.float64)
             nbr_a = np.stack([assigned[list(graph.adjacency[j])].sum(axis=0) for j in range(k)])
-            assert np.allclose(state.quota_balance(), 2.0 * (quota * deg - nbr_q), atol=atol)
+            assert np.allclose(state.quota_bal, 2.0 * (quota * deg - nbr_q), atol=atol)
             assert np.allclose(
-                state.sum_balance(), 2.0 * (deg[:, None] * assigned - nbr_a), atol=atol
+                state.sum_bal, 2.0 * (deg[:, None] * assigned - nbr_a), atol=atol
             )
 
 
@@ -260,7 +258,9 @@ def test_weighted_average_and_pick_match_direct_means():
         for _ in range(5):
             cn, cr = (float(v) for v in rng.standard_normal(2))
             w = rng.standard_normal(2)
-            objs = np.array([state.objective(i, cn, cr, w) for i in range(state.k)])
+            objs = np.array(
+                [cn * state.deg[i] + cr * state.quota_bal[i] + state.sum_bal[i] @ w for i in range(state.k)]
+            )
             q = state.quota.astype(np.float64)
             want_w = float(q @ objs) / float(q.sum())
             got_w = state.weighted_average(cn, cr, w)
