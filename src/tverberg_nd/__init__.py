@@ -22,8 +22,6 @@ from .geom import (
     diameter_bound,
     diameter_exact,
     diameter_upper,
-    project_orthogonal,
-    translate,
 )
 from .hamsandwich import (
     DepthCertificate,
@@ -36,7 +34,6 @@ from .hamsandwich import (
 from .lifting import (
     GraphStats,
     LiftingGraph,
-    lifted_dot,
     make_custom_graph,
     make_graph,
     q_dot,
@@ -44,11 +41,9 @@ from .lifting import (
     stats,
 )
 from .oracle import (
-    ConvergenceError,
     EnumerationReport,
     ExplicitLift,
     depth_2d_exact,
-    dist_to_hull,
     enumerate_colorful,
     enumerate_traversals,
     explicit_q_vectors,
@@ -76,7 +71,6 @@ __all__ = [
     "CheckResult",
     "ColorInstance",
     "ColorfulCertificate",
-    "ConvergenceError",
     "DepthCertificate",
     "EnumerationReport",
     "ExplicitLift",
@@ -98,26 +92,22 @@ __all__ = [
     "diameter_bound",
     "diameter_exact",
     "diameter_upper",
-    "dist_to_hull",
     "enumerate_colorful",
     "enumerate_traversals",
     "explicit_q_vectors",
     "explicit_tensor",
     "generalized_ham_sandwich",
     "joint_depth_ball",
-    "lifted_dot",
     "make_custom_graph",
     "make_graph",
     "partition_balanced",
     "partition_colorful",
     "partition_general",
     "partition_nearly_balanced",
-    "project_orthogonal",
     "q_dot",
     "quadratic_form",
     "radius_bound",
     "stats",
-    "translate",
     "traversal_norm_bound",
     "__version__",
 ]

@@ -33,7 +33,7 @@ from .colorful import (
     check_colorful_certificate,
     partition_colorful,
 )
-from .geom import Ball, PointSet
+from .geom import Ball, LineThroughOrigin, PointSet
 from .hamsandwich import (
     DepthCertificate,
     ProjectionChain,
@@ -119,13 +119,14 @@ def _load_json(path: str) -> dict:
 
 
 def _check_dim(path: str, doc: dict, width: int) -> None:
-    """An optional "dim" field must be an integer equal to the point width."""
+    """Points need a coordinate; an optional "dim" must be a JSON integer equal to their width."""
+    if width < 1:
+        raise ParseError(path, "points need at least one coordinate")
     if "dim" not in doc:
         return
-    try:
-        dim = int(doc["dim"])
-    except (TypeError, ValueError):
-        raise ParseError(path, f"dim field is not an integer: {doc['dim']!r}") from None
+    dim = doc["dim"]
+    if type(dim) is not int:
+        raise ParseError(path, f"dim field is not an integer: {dim!r}")
     if dim != width:
         raise ParseError(path, "dim field does not match point width")
 
@@ -407,8 +408,9 @@ def _hamsandwich_doc(cert: DepthCertificate, digests: list[str], timing_ms: floa
 
 
 def _hamsandwich_from_doc(doc: dict) -> DepthCertificate:
-    from .geom import LineThroughOrigin
-
+    m = tuple(int(v) for v in doc["parameters"]["m"])
+    if any(v < 1 for v in m):
+        raise ValueError(f"every m entry must be at least 1, got {m}")
     dim = int(doc["parameters"]["dim"])
     chain = ProjectionChain(
         axes_local=tuple(np.asarray(a, dtype=np.float64) for a in doc["axes_local"]),
@@ -423,7 +425,7 @@ def _hamsandwich_from_doc(doc: dict) -> DepthCertificate:
         chain=chain,
         ball=Ball(np.asarray(doc["ball"]["center_local"], dtype=np.float64), float(doc["ball"]["radius"])),
         ball_center_ambient=np.asarray(doc["ball"]["center_ambient"], dtype=np.float64),
-        m=tuple(int(v) for v in doc["parameters"]["m"]),
+        m=m,
         depth_lower_bounds=tuple(int(v) for v in doc["depth_lower_bounds"]),
         per_set=tuple(_tverberg_from_doc(sd) for sd in doc["per_set"]),
         constructive_radius=float(doc["constructive_radius"]),
@@ -616,7 +618,7 @@ def cmd_verify(args) -> int:
         print(f"digest mismatch: certificate has {stored}, input is {actual}", file=sys.stderr)
         return EXIT_DIGEST
 
-    if command not in _DECODERS:
+    if not isinstance(command, str) or command not in _DECODERS:
         raise ParseError(args.certificate, f"unknown command {command!r}")
     try:
         cert = _DECODERS[command](doc)

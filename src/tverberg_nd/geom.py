@@ -26,8 +26,6 @@ __all__ = [
     "diameter_bound",
     "diameter_exact",
     "diameter_upper",
-    "project_orthogonal",
-    "translate",
 ]
 
 DEGENERATE_DIRECTION_TOL = 1e-12
@@ -89,10 +87,6 @@ class PointSet:
         """The bound diameter_upper of the rows, computed on first use and then kept."""
         return diameter_upper(self)
 
-    def subset(self, indices) -> "PointSet":
-        """New PointSet holding the given rows, in the given order."""
-        return PointSet(self.coords[np.asarray(indices, dtype=np.intp)])
-
 
 @dataclass(frozen=True, eq=False)
 class Ball:
@@ -143,17 +137,11 @@ def _as_point_set(points) -> PointSet:
     return points if isinstance(points, PointSet) else PointSet(points)
 
 
-def centroid(points, compensated: bool = False) -> np.ndarray:
-    """Arithmetic mean of the rows.
-
-    With compensated=True each coordinate is accumulated with exact
-    (fsum) summation; the default sums in input order via numpy.
-    """
+def centroid(points) -> np.ndarray:
+    """Arithmetic mean of the rows, summed in input order via numpy."""
     arr = _as_point_set(points).coords
     if arr.shape[0] == 0:
         raise ValueError("empty point set")
-    if compensated:
-        return np.array([math.fsum(arr[:, j]) for j in range(arr.shape[1])]) / arr.shape[0]
     return arr.sum(axis=0) / arr.shape[0]
 
 
@@ -263,28 +251,3 @@ def diameter_bound(points, exact_threshold: int = DIAMETER_EXACT_DEFAULT_THRESHO
     if pts.n <= exact_threshold:
         return pts.diameter, True
     return pts.upper_diameter, False
-
-
-def translate(points: PointSet, v) -> PointSet:
-    """Shift every point by v."""
-    arr = _as_point_set(points).coords
-    v = as_point(v)
-    if v.shape[0] != arr.shape[1]:
-        raise ValueError("dimension mismatch between point set and translation")
-    return PointSet(arr + v)
-
-
-def project_orthogonal(p, v, tol: float = DEGENERATE_DIRECTION_TOL) -> np.ndarray:
-    """Project p onto the hyperplane through the origin orthogonal to v.
-
-    Raises:
-        ValueError: if ``norm(v) <= tol`` ("degenerate projection direction").
-    """
-    p = as_point(p)
-    v = as_point(v)
-    if p.shape != v.shape:
-        raise ValueError("dimension mismatch between point and direction")
-    vv = float(v @ v)
-    if math.sqrt(vv) <= tol:
-        raise ValueError("degenerate projection direction")
-    return p - (float(p @ v) / vv) * v

@@ -119,7 +119,7 @@ def _validated_sets(sets) -> list[PointSet]:
         raise InfeasibleError("need at least one point set")
     d = pts[0].dim
     if any(p.dim != d for p in pts):
-        raise ValueError("point sets must share one dimension")
+        raise InfeasibleError("point sets must share one dimension")
     if len(pts) > d:
         raise InfeasibleError("more point sets than dimensions")
     return pts

@@ -31,7 +31,6 @@ __all__ = [
     "LiftingGraph",
     "heap_children",
     "heap_parent",
-    "lifted_dot",
     "make_custom_graph",
     "make_graph",
     "q_dot",
@@ -186,13 +185,6 @@ def q_dot(g: LiftingGraph, i: int, j: int) -> int:
     if i == j:
         return g.degree(i)
     return -1 if j in g.adjacency[i] else 0
-
-
-def lifted_dot(g: LiftingGraph, p, i: int, q, j: int) -> float:
-    """Dot product of the lifted points p (x) q_i and q (x) q_j."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    return float(p @ q) * q_dot(g, i, j)
 
 
 def quadratic_form(g: LiftingGraph, vectors) -> float:

@@ -1,8 +1,9 @@
 """Brute-force reference implementations.
 
 Everything in this module is deliberately slow and explicit: tensors are
-materialized, traversals enumerated, distances certified by duality
-gaps. The fast code paths are tested against these.
+materialized, traversals enumerated, diameters scanned pair by pair and
+planar depths swept over every halfplane. The fast code paths are tested
+against these.
 """
 
 from __future__ import annotations
@@ -13,17 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import _as_point_set, as_point, centroid, diameter_bound
+from .geom import _as_point_set, as_point
 from .lifting import LiftingGraph, make_graph
 
 __all__ = [
     "ENUMERATION_GUARD",
-    "ConvergenceError",
     "EnumerationReport",
     "ExplicitLift",
     "depth_2d_exact",
     "diameter_pairwise",
-    "dist_to_hull",
     "enumerate_colorful",
     "enumerate_traversals",
     "explicit_q_vectors",
@@ -31,20 +30,6 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 1_000_000
-
-MAX_HULL_ITERATIONS = 100_000
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when the hull-distance iteration exhausts its budget."""
-
-    def __init__(self, lower: float, upper: float, iterations: int):
-        super().__init__(
-            f"hull distance did not converge after {iterations} iterations; "
-            f"distance lies in [{lower!r}, {upper!r}]"
-        )
-        self.lower = lower
-        self.upper = upper
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,57 +213,6 @@ def diameter_pairwise(points) -> float:
         if m > best:
             best = m
     return math.sqrt(best)
-
-
-def dist_to_hull(x, points, tol: float | None = None) -> float:
-    """Euclidean distance from x to the convex hull of the points.
-
-    Conditional-gradient iteration over the vertex set with exact line
-    search; stops once the duality gap pins the distance to an interval
-    of width tol (default 1e-7 times the diameter). Returns the upper end
-    of that interval.
-
-    Raises:
-        ConvergenceError: if the interval is still too wide after the
-            iteration budget; the error carries the bracketing interval.
-    """
-    x = as_point(x)
-    arr = _as_point_set(points).coords
-    if arr.shape[0] == 0:
-        raise ValueError("empty point set")
-    if arr.shape[1] != x.shape[0]:
-        raise ValueError("dimension mismatch")
-    if tol is None:
-        diam, _ = diameter_bound(arr)
-        tol = 1e-7 * diam
-    tol = max(float(tol), 0.0)
-
-    # start at the vertex closest to x
-    diff = arr - x
-    sq0 = np.einsum("ij,ij->i", diff, diff)
-    y = arr[int(np.argmin(sq0))].astype(np.float64).copy()
-
-    lower = 0.0
-    upper = math.sqrt(float(np.min(sq0)))
-    for it in range(MAX_HULL_ITERATIONS):
-        g = y - x
-        f = float(g @ g)
-        scores = arr @ g
-        v = arr[int(np.argmin(scores))]
-        gap = float(g @ (y - v))
-        upper = math.sqrt(f)
-        lower = math.sqrt(max(f - 2.0 * gap, 0.0))
-        if upper - lower <= tol:
-            return upper
-        vy = v - y
-        denom = float(vy @ vy)
-        if denom == 0.0:
-            return upper
-        step = min(1.0, max(0.0, float((x - y) @ vy) / denom))
-        if step == 0.0:
-            return upper
-        y += step * vy
-    raise ConvergenceError(lower, upper, MAX_HULL_ITERATIONS)
 
 
 def depth_2d_exact(x, points) -> int:

@@ -29,10 +29,12 @@ expectation before the choice, can never increase that expectation, so
 the finished traversal is at most the average over all assignments; the
 emitted radius guarantees rest on that dominance.
 
-Each step takes the feasible class with the smallest value, lowest index
-winning ties. A minimum over the feasible classes never exceeds their
-quota-weighted average, and a feasible class exists until every row is
-placed.
+Each step takes the feasible class with the smallest computed value, the
+lowest index winning ties among equal computed values. The values come
+from a BLAS product, which may score classes with identical state an ulp
+apart, so such classes need not tie. A minimum over the feasible
+classes never exceeds their quota-weighted average, and a feasible class
+exists until every row is placed.
 
 One state object holds quota, deg, quota_bal and sum_bal for any lifting
 graph: the balanced arity-ary tree for general sizes and the star for
@@ -111,14 +113,6 @@ class SizeSpec:
             raise InfeasibleError("class sizes must be positive")
         object.__setattr__(self, "sizes", sizes)
 
-    @property
-    def k(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def total(self) -> int:
-        return sum(self.sizes)
-
 
 def _as_sizes(sizes) -> tuple[int, ...]:
     if isinstance(sizes, SizeSpec):
@@ -189,7 +183,9 @@ def select_class(state, coef_n: float, coef_r: float, w) -> int:
     """Pick the feasible class with the smallest objective.
 
     A masked argmin: classes with no remaining quota score infinity and
-    the lowest index wins ties. The minimum over feasible classes never
+    the lowest index wins ties among equal computed values (classes with
+    identical state rows may still score an ulp apart, since sum_bal @ w
+    is a BLAS product). The minimum over feasible classes never
     exceeds their quota-weighted average, so the running conditional
     expectation cannot grow. Raises InfeasibleError when every quota is
     used up.

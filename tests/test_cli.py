@@ -183,6 +183,18 @@ def _hamsandwich_run(tmp_path, n):
     return out, [str(a), str(b)]
 
 
+def test_hamsandwich_mixed_dimensions_is_infeasible(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    cli.main(["gen", "--n", "20", "--d", "2", "--seed", "7", "--out", str(a)])
+    cli.main(["gen", "--n", "20", "--d", "3", "--seed", "8", "--out", str(b)])
+    capsys.readouterr()
+    argv = ["hamsandwich", str(a), str(b), "--m", "2,2", "--out", str(tmp_path / "hs.json")]
+    assert cli.main(argv) == cli.EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: ") and "Traceback" not in err
+
+
 def test_hamsandwich_run_verify_and_digest_order(tmp_path):
     out, (a, b) = _hamsandwich_run(tmp_path, 60)
     assert cli.main(["verify", str(out), a, b]) == 0
@@ -224,11 +236,17 @@ def test_verify_digest_and_tamper_exit_codes(tmp_path, capsys):
         "k_grid_not_integer",
         "points_dim_not_integer",
         "classes_dim_not_integer",
+        "points_dim_fractional",
+        "points_zero_width",
+        "classes_zero_width",
         "top_level_list",
         "parts_missing",
         "parts_not_indices",
         "mode_unknown",
+        "command_not_string",
         "per_set_mode_unknown",
+        "m_zero",
+        "m_negative",
         "arity_too_small",
         "csv_separators_only",
         "csv_not_utf8",
@@ -250,21 +268,33 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
         "k_grid_not_integer": ["bench", "--algo", "colorful", "--k-grid", "4,a"],
         "points_dim_not_integer": ["tverberg", str(bad), "--k", "1", "--out", str(out)],
         "classes_dim_not_integer": ["colorful", str(bad), "--out", str(out)],
+        "points_dim_fractional": ["tverberg", str(bad), "--k", "1", "--out", str(out)],
+        "points_zero_width": ["tverberg", str(bad), "--k", "1", "--out", str(out)],
+        "classes_zero_width": ["colorful", str(bad), "--out", str(out)],
     }
     if case == "points_dim_not_integer":
         bad.write_text('{"dim": "a", "points": [[0.0, 1.0]]}')
     elif case == "classes_dim_not_integer":
         bad.write_text('{"dim": "a", "classes": [[[0.0, 1.0]], [[2.0, 3.0]]]}')
+    elif case == "points_dim_fractional":
+        bad.write_text('{"dim": 2.5, "points": [[0.0, 1.0]]}')
+    elif case == "points_zero_width":
+        bad.write_text('{"points": [[]]}')
+    elif case == "classes_zero_width":
+        bad.write_text('{"classes": [[[]]]}')
     elif case == "arity_too_small":
         cli.main(["tverberg", str(data), "--sizes", "5,6,6,7", "--out", str(out)])
         gdoc = json.loads(out.read_text())
         gdoc["parameters"]["arity"] = 1
         bad.write_bytes(cli.emit_document(gdoc))
         argvs[case] = ["verify", str(bad), str(data)]
-    elif case == "per_set_mode_unknown":
+    elif case in ("per_set_mode_unknown", "m_zero", "m_negative"):
         hs, inputs = _hamsandwich_run(tmp_path, 60)
         hdoc = json.loads(hs.read_text())
-        hdoc["per_set"][0]["mode"] = "nosuch"
+        if case == "per_set_mode_unknown":
+            hdoc["per_set"][0]["mode"] = "nosuch"
+        else:
+            hdoc["parameters"]["m"][0] = 0 if case == "m_zero" else -6
         bad.write_bytes(cli.emit_document(hdoc))
         argvs[case] = ["verify", str(bad), *inputs]
     elif case == "csv_separators_only":
@@ -287,6 +317,7 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
             "parts_missing": lambda d: {k: v for k, v in d.items() if k != "parts"},
             "parts_not_indices": lambda d: {**d, "parts": ["x"]},
             "mode_unknown": lambda d: {**d, "mode": "nosuch"},
+            "command_not_string": lambda d: {**d, "command": ["tverberg"]},
         }
         bad.write_bytes(cli.emit_document(edits[case](doc)))
         argvs[case] = ["verify", str(bad), str(data)]
@@ -296,6 +327,20 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
     assert err.startswith("parse error: ") and "Traceback" not in err
     if case == "csv_not_utf8":
         assert err.rstrip().endswith("bad.csv:2: not valid UTF-8")  # the line holding the bad byte
+
+
+@pytest.mark.parametrize("m0", [1, 61])
+def test_m_out_of_range_fails_depth_bound(tmp_path, capsys, m0):
+    # m_i = 1 and m_i > |P_i| decode, then fail the named check
+    out, inputs = _hamsandwich_run(tmp_path, 60)
+    doc = json.loads(out.read_text())
+    doc["parameters"]["m"][0] = m0
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(cli.emit_document(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(bad), *inputs]) == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "FAIL set0_depth_bound" in captured.out and "Traceback" not in captured.err
 
 
 def _shrink_radius(sub):

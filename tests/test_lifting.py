@@ -5,7 +5,6 @@ from tverberg_nd.lifting import (
     LiftingGraph,
     heap_children,
     heap_parent,
-    lifted_dot,
     make_custom_graph,
     make_graph,
     q_dot,
@@ -97,21 +96,6 @@ def test_q_vectors_sum_to_zero_exactly():
     for g in all_family_graphs():
         vecs = explicit_q_vectors(g).vectors
         assert not vecs.sum(axis=0).any()
-
-
-def test_lifted_dot_against_explicit_tensors():
-    rng = np.random.default_rng(11)
-    for g in all_family_graphs(5):
-        if explicit_q_vectors(g).vectors.shape[1] == 0:
-            continue
-        vecs = explicit_q_vectors(g).vectors
-        for _ in range(20):
-            p = rng.standard_normal(3)
-            q = rng.standard_normal(3)
-            i, j = rng.integers(0, g.k, 2)
-            want = float(explicit_tensor(p, vecs[i]) @ explicit_tensor(q, vecs[j]))
-            got = lifted_dot(g, p, int(i), q, int(j))
-            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_quadratic_form_against_explicit_sum():

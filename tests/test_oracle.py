@@ -6,9 +6,7 @@ import pytest
 from tverberg_nd.geom import PointSet
 from tverberg_nd.lifting import make_graph
 from tverberg_nd.oracle import (
-    ConvergenceError,
     depth_2d_exact,
-    dist_to_hull,
     enumerate_colorful,
     enumerate_traversals,
     explicit_q_vectors,
@@ -88,30 +86,6 @@ def test_enumerate_colorful_accepts_point_sets():
     classes = [PointSet([[0.0], [1.0]]), PointSet([[4.0], [5.0]])]
     rep = enumerate_colorful(classes)
     assert rep.count == 4
-
-
-def test_dist_to_hull_outside_segment():
-    hull = np.array([[0.0, -1.0], [0.0, 1.0]])
-    assert math.isclose(dist_to_hull([2.0, 0.0], hull), 2.0, abs_tol=1e-6)
-
-
-def test_dist_to_hull_clamps_to_vertex():
-    hull = np.array([[0.0, 0.0], [1.0, 0.0]])
-    assert math.isclose(dist_to_hull([3.0, 2.0], hull), math.sqrt(8.0), abs_tol=1e-6)
-
-
-def test_dist_to_hull_inside_is_zero():
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    assert dist_to_hull([0.5, 0.5], square) <= 1e-6
-    assert dist_to_hull([0.0, 0.0], square) <= 1e-9
-
-
-def test_dist_to_hull_validation():
-    with pytest.raises(ValueError):
-        dist_to_hull([1.0], np.zeros((0, 1)))
-    with pytest.raises(ValueError):
-        dist_to_hull([1.0, 2.0], np.zeros((3, 3)))
-    assert issubclass(ConvergenceError, RuntimeError)
 
 
 def test_depth_2d_square():

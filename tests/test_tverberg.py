@@ -29,7 +29,7 @@ from tverberg_nd.tverberg import (
 
 def test_size_spec_validation():
     spec = SizeSpec((3, 2, 1))
-    assert spec.k == 3 and spec.total == 6
+    assert spec.sizes == (3, 2, 1)
     with pytest.raises(InfeasibleError):
         SizeSpec(())
     with pytest.raises(InfeasibleError):
