@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -131,6 +132,18 @@ def _check_dim(path: str, doc: dict, width: int) -> None:
         raise ParseError(path, "dim field does not match point width")
 
 
+def _only_numbers(nested, depth: int) -> bool:
+    """Whether every leaf of a depth-level nested JSON list is a number, not a bool or a string.
+
+    np.asarray reads "1" and true as 1.0, so the leaf types are checked
+    on their own, in one pass of C iterators that copies no leaf.
+    """
+    leaves = nested
+    for _ in range(depth - 1):
+        leaves = itertools.chain.from_iterable(leaves)
+    return set(map(type, leaves)) <= {int, float}
+
+
 def _load_csv_fast(path: str) -> np.ndarray | None:
     """The rows as numpy's C reader parses them, or None to defer to _load_csv_lines.
 
@@ -198,6 +211,8 @@ def load_points(path: str) -> PointSet:
             raise ParseError(path, f"points are not rectangular numbers: {exc}") from exc
         if arr.ndim != 2:
             raise ParseError(path, "points must form a 2-d array")
+        if not _only_numbers(doc["points"], 2):
+            raise ParseError(path, "point coordinates must be JSON numbers")
         _check_dim(path, doc, arr.shape[1])
         if not np.isfinite(arr).all():
             raise ParseError(path, "points must be finite")
@@ -219,6 +234,8 @@ def load_classes(path: str) -> ColorInstance:
         raise ParseError(path, f"classes are not rectangular: {exc}") from exc
     if arr.ndim != 3:
         raise InfeasibleError("every class needs the same number of points")
+    if not _only_numbers(doc["classes"], 3):
+        raise ParseError(path, "point coordinates must be JSON numbers")
     _check_dim(path, doc, arr.shape[2])
     if not np.isfinite(arr).all():
         raise ParseError(path, "points must be finite")
@@ -316,6 +333,13 @@ def _tverberg_doc(cert: TverbergCertificate, digest: str, timing_ms: float | Non
     }
 
 
+def _int(value) -> int:
+    """A JSON integer field of a certificate; a float, string or bool is a ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _tverberg_from_doc(doc: dict) -> TverbergCertificate:
     """Decode the fields _tverberg_body writes.
 
@@ -325,14 +349,14 @@ def _tverberg_from_doc(doc: dict) -> TverbergCertificate:
     mode, arity = doc["mode"], doc["parameters"]["arity"]
     if mode not in BOUND_NAMES:
         raise ValueError(f"unknown mode {mode!r}")
-    if not ((isinstance(arity, int) and arity >= 2) if mode == "general" else arity is None):
+    if not ((type(arity) is int and arity >= 2) if mode == "general" else arity is None):
         raise ValueError(f"arity {arity!r} does not fit mode {mode!r}")
     ball = doc["ball"]
     return TverbergCertificate(
         mode=mode,
-        sizes=tuple(int(r) for r in doc["parameters"]["sizes"]),
+        sizes=tuple(_int(r) for r in doc["parameters"]["sizes"]),
         arity=arity,
-        parts=tuple(tuple(int(i) for i in part) for part in doc["parts"]),
+        parts=tuple(tuple(_int(i) for i in part) for part in doc["parts"]),
         part_centroids=np.asarray(doc["part_centroids"], dtype=np.float64),
         ball=Ball(np.asarray(ball["center"], dtype=np.float64), float(ball["radius_guaranteed"])),
         radius_guaranteed=float(ball["radius_guaranteed"]),
@@ -363,10 +387,10 @@ def _colorful_doc(cert: ColorfulCertificate, digest: str, timing_ms: float | Non
 def _colorful_from_doc(doc: dict) -> ColorfulCertificate:
     ball = doc["ball"]
     return ColorfulCertificate(
-        n_classes=int(doc["parameters"]["n_classes"]),
-        k=int(doc["parameters"]["k"]),
-        shifts=tuple(int(t) for t in doc["shifts"]),
-        parts=tuple(tuple((int(c), int(i)) for c, i in part) for part in doc["parts"]),
+        n_classes=_int(doc["parameters"]["n_classes"]),
+        k=_int(doc["parameters"]["k"]),
+        shifts=tuple(_int(t) for t in doc["shifts"]),
+        parts=tuple(tuple((_int(c), _int(i)) for c, i in part) for part in doc["parts"]),
         part_centroids=np.asarray(doc["part_centroids"], dtype=np.float64),
         ball=Ball(np.asarray(ball["center"], dtype=np.float64), float(ball["radius_guaranteed"])),
         radius_guaranteed=float(ball["radius_guaranteed"]),
@@ -408,10 +432,10 @@ def _hamsandwich_doc(cert: DepthCertificate, digests: list[str], timing_ms: floa
 
 
 def _hamsandwich_from_doc(doc: dict) -> DepthCertificate:
-    m = tuple(int(v) for v in doc["parameters"]["m"])
+    m = tuple(_int(v) for v in doc["parameters"]["m"])
     if any(v < 1 for v in m):
         raise ValueError(f"every m entry must be at least 1, got {m}")
-    dim = int(doc["parameters"]["dim"])
+    dim = _int(doc["parameters"]["dim"])
     chain = ProjectionChain(
         axes_local=tuple(np.asarray(a, dtype=np.float64) for a in doc["axes_local"]),
         axes_ambient=np.asarray(doc["axes_ambient"], dtype=np.float64).reshape(-1, dim),
@@ -426,7 +450,7 @@ def _hamsandwich_from_doc(doc: dict) -> DepthCertificate:
         ball=Ball(np.asarray(doc["ball"]["center_local"], dtype=np.float64), float(doc["ball"]["radius"])),
         ball_center_ambient=np.asarray(doc["ball"]["center_ambient"], dtype=np.float64),
         m=m,
-        depth_lower_bounds=tuple(int(v) for v in doc["depth_lower_bounds"]),
+        depth_lower_bounds=tuple(_int(v) for v in doc["depth_lower_bounds"]),
         per_set=tuple(_tverberg_from_doc(sd) for sd in doc["per_set"]),
         constructive_radius=float(doc["constructive_radius"]),
         existential_radius=float(doc["existential_radius"]),
@@ -434,7 +458,7 @@ def _hamsandwich_from_doc(doc: dict) -> DepthCertificate:
         set_diameters_exact=tuple(bool(v) for v in doc["set_diameters_exact"]),
         oracle_depths=None
         if doc["oracle_depths"] is None
-        else tuple(int(v) for v in doc["oracle_depths"]),
+        else tuple(_int(v) for v in doc["oracle_depths"]),
     )
 
 
@@ -674,34 +698,42 @@ def _fit_exponent(xs, ys) -> float:
     return float(slope)
 
 
+def _bench(grid, make, solve, reps: int):
+    """Median ms per grid point over reps passes, each pass timing the whole grid once.
+
+    A slow stretch of the host then falls within one pass, and the median
+    at each point drops it. Inputs are remade each pass, so only one is
+    held at a time.
+    """
+    times = [[] for _ in grid]
+    for _ in range(reps):
+        for x, acc in zip(grid, times):
+            arg = make(x)
+            t0 = time.perf_counter()
+            solve(arg)
+            acc.append((time.perf_counter() - t0) * 1000.0)
+    rows = [(x, float(np.median(acc))) for x, acc in zip(grid, times)]
+    return rows, _fit_exponent([r[0] for r in rows], [max(r[1], 1e-6) for r in rows])
+
+
 def run_bench_tverberg(n_grid, k: int, d: int, reps: int, seed: int = 12345):
     """Time the equal-sizes partitioner across n; returns (rows, exponent)."""
-    rows = []
-    for n in n_grid:
-        rng = np.random.default_rng(seed + n)
-        coords = rng.standard_normal((n, d))
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            partition_nearly_balanced(coords, k, diameter_exact_threshold=0)
-            times.append((time.perf_counter() - t0) * 1000.0)
-        rows.append((n, float(np.median(times))))
-    return rows, _fit_exponent([r[0] for r in rows], [max(r[1], 1e-6) for r in rows])
+    return _bench(
+        n_grid,
+        lambda n: np.random.default_rng(seed + n).standard_normal((n, d)),
+        lambda coords: partition_nearly_balanced(coords, k, diameter_exact_threshold=0),
+        reps,
+    )
 
 
 def run_bench_colorful(k_grid, n_classes: int, d: int, reps: int, seed: int = 12345):
     """Time the rainbow partitioner across k; returns (rows, exponent)."""
-    rows = []
-    for k in k_grid:
-        rng = np.random.default_rng(seed + k)
-        classes = rng.standard_normal((n_classes, k, d))
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            partition_colorful(ColorInstance(classes))
-            times.append((time.perf_counter() - t0) * 1000.0)
-        rows.append((k, float(np.median(times))))
-    return rows, _fit_exponent([r[0] for r in rows], [max(r[1], 1e-6) for r in rows])
+    return _bench(
+        k_grid,
+        lambda k: np.random.default_rng(seed + k).standard_normal((n_classes, k, d)),
+        lambda classes: partition_colorful(ColorInstance(classes)),
+        reps,
+    )
 
 
 def cmd_bench(args) -> int:

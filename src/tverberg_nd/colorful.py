@@ -241,6 +241,7 @@ def check_colorful_certificate(cert: ColorfulCertificate, classes) -> list[Check
     cents = sums / n
     checks.close("part_centroids_match", cents, cert.part_centroids, scale)
     checks.close("ball_center_is_hub_centroid", _distance(cents[0], cert.ball.center), 0.0, scale)
+    checks.close("ball_radius_is_guarantee", cert.ball.radius, cert.radius_guaranteed, scale)
     achieved = _radius(cents, cents[0])
     checks.close("radius_achieved_matches", achieved, cert.radius_achieved, scale)
     slack = REL_SLACK * scale + ABS_GUARD

@@ -34,9 +34,18 @@ DEGENERATE_DIRECTION_TOL = 1e-12
 # beyond it the 2-approximation around the centroid is used instead.
 DIAMETER_EXACT_DEFAULT_THRESHOLD = 4096
 
-# Byte budget for the temporaries of one step of the exact diameter scan:
-# a block of Gram estimates, or a chunk of rescored difference vectors.
+# Byte budget for one block of temporaries. Every scan over an input-sized
+# array takes its rows (or the planar depth oracle its directions) one
+# block of this many bytes at a time: the exact diameter's Gram estimates
+# and rescored differences, the traversal's centered rows and prefix sums,
+# the class sums, diameter_upper and depth_2d_exact. A run then holds its
+# input, O(k d + n) state and a few such blocks.
 _SCAN_BYTES = 1 << 20
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows of row_bytes bytes each that fit in one _SCAN_BYTES block, at least one."""
+    return max(1, _SCAN_BYTES // row_bytes)
 
 
 def as_point(p) -> np.ndarray:
@@ -208,7 +217,7 @@ def diameter_exact(points) -> float:
     delta = (d + 4) * (2.0**-49 * s_max + 2.0**-1070)
     if not 8.0 * s_max < math.inf:
         delta = math.inf
-    rows = max(1, _SCAN_BYTES // (8 * n))
+    rows = _block_rows(8 * n)
     best = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # only where delta = inf
         for lo in range(0, n, rows):
@@ -224,7 +233,7 @@ def diameter_exact(points) -> float:
             del est
             r = np.flatnonzero(keep.any(axis=1)) + lo
             cols = arr[np.flatnonzero(keep.any(axis=0)) + lo]
-            step = max(1, _SCAN_BYTES // (8 * d * cols.shape[0]))
+            step = _block_rows(8 * d * cols.shape[0])
             for s in range(0, r.size, step):
                 diff = arr[r[s : s + step], None, :] - cols[None, :, :]
                 best = max(best, float(np.einsum("ijk,ijk->ij", diff, diff).max()))
@@ -232,12 +241,20 @@ def diameter_exact(points) -> float:
 
 
 def diameter_upper(points) -> float:
-    """2 * max distance to the centroid; always within [diam, 2 diam]."""
+    """2 * max distance to the centroid; always within [diam, 2 diam].
+
+    The distances are taken one block of rows at a time.
+    """
     pts = _as_point_set(points)
     if pts.n == 0:
         raise ValueError("empty point set")
-    diff = pts.coords - centroid(pts)
-    return 2.0 * math.sqrt(float(np.einsum("ij,ij->i", diff, diff).max()))
+    center = centroid(pts)
+    step = _block_rows(8 * pts.dim)
+    far = 0.0
+    for lo in range(0, pts.n, step):
+        diff = pts.coords[lo : lo + step] - center
+        far = max(far, float(np.einsum("ij,ij->i", diff, diff).max()))
+    return 2.0 * math.sqrt(far)
 
 
 def diameter_bound(points, exact_threshold: int = DIAMETER_EXACT_DEFAULT_THRESHOLD) -> tuple[float, bool]:

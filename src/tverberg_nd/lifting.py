@@ -114,6 +114,14 @@ class LiftingGraph:
         ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
         return ends[:, 0], ends[:, 1]
 
+    @cached_property
+    def _neighbor_index(self) -> tuple[np.ndarray, ...]:
+        """Each node's neighbors as a read-only index array."""
+        index = tuple(np.array(a, dtype=np.intp) for a in self.adjacency)
+        for a in index:
+            a.setflags(write=False)
+        return index
+
     @property
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import _as_point_set, as_point
+from .geom import _as_point_set, _block_rows, as_point
 from .lifting import LiftingGraph, make_graph
 
 __all__ = [
@@ -218,10 +218,21 @@ def diameter_pairwise(points) -> float:
 def depth_2d_exact(x, points) -> int:
     """Exact closed-halfplane (Tukey) depth of x in the plane.
 
-    Evaluates the point count of every closed halfplane whose boundary
-    passes through x, sweeping the perpendiculars of all point offsets
-    plus the midpoints of consecutive critical angles. Only d = 2 and at
-    most 1000 points are supported.
+    Counts the points in every closed halfplane whose boundary passes
+    through x at two kinds of direction: the critical normals, one pair
+    per point offset o_i = p_i - x, and the midpoint of each pair of
+    consecutive distinct critical angles. Only d = 2 and at most 1000
+    points are supported.
+
+    At the normals the count comes from the signs of the cross products
+    ``ox_j oy_i - oy_j ox_i``, formed elementwise. Rounding is monotone, so
+    no computed sign is the opposite of the exact one, and the term of a
+    point lying exactly on the line through x and p_i, p_i itself
+    included, is exactly 0: such a point counts in both closed halfplanes.
+    The midpoint directions are counted with one matrix product; the
+    critical angles themselves are not, since their cosine and sine lie
+    within rounding of a boundary. Both counts take one _SCAN_BYTES block
+    of directions at a time.
     """
     x = as_point(x)
     arr = _as_point_set(points).coords
@@ -233,16 +244,23 @@ def depth_2d_exact(x, points) -> int:
         raise ValueError("empty point set")
 
     offsets = arr - x
+    n = offsets.shape[0]
     nz = offsets[np.einsum("ij,ij->i", offsets, offsets) > 0.0]
     if nz.shape[0] == 0:
-        return arr.shape[0]
+        return n
 
-    perps = np.concatenate([np.stack([-nz[:, 1], nz[:, 0]], axis=1), np.stack([nz[:, 1], -nz[:, 0]], axis=1)])
-    angles = np.sort(np.arctan2(perps[:, 1], perps[:, 0]))
-    mids = (angles + np.diff(np.concatenate([angles, [angles[0] + 2 * math.pi]])) / 2.0)
-    cand = np.concatenate([angles, mids])
-    dirs = np.stack([np.cos(cand), np.sin(cand)], axis=1)
-    dirs = np.concatenate([perps, dirs])  # exact perpendiculars keep boundary cases exact
+    step = _block_rows(8 * n)
+    ox, oy = offsets[:, 0], offsets[:, 1]
+    depth = n
+    for lo in range(0, nz.shape[0], step):
+        cross = np.multiply.outer(ox, nz[lo : lo + step, 1])
+        cross -= np.multiply.outer(oy, nz[lo : lo + step, 0])
+        # o_j . (-oy_i, ox_i) = -cross[j, i] and o_j . (oy_i, -ox_i) = cross[j, i]
+        depth = min(depth, int((cross <= 0.0).sum(axis=0).min()), int((cross >= 0.0).sum(axis=0).min()))
 
-    counts = (offsets @ dirs.T >= 0.0).sum(axis=0)
-    return int(counts.min())
+    angles = np.unique(np.concatenate([np.arctan2(nz[:, 0], -nz[:, 1]), np.arctan2(-nz[:, 0], nz[:, 1])]))
+    mids = angles + np.diff(np.concatenate([angles, [angles[0] + 2 * math.pi]])) / 2.0
+    dirs = np.stack([np.cos(mids), np.sin(mids)], axis=1)
+    for lo in range(0, dirs.shape[0], step):
+        depth = min(depth, int((offsets @ dirs[lo : lo + step].T >= 0.0).sum(axis=0).min()))
+    return depth

@@ -62,6 +62,7 @@ from .geom import (
     Ball,
     PointSet,
     _as_point_set,
+    _block_rows,
     diameter_bound,
 )
 from .lifting import LiftingGraph, make_graph, quadratic_form, stats
@@ -134,7 +135,7 @@ class _TraversalState:
         self.k = k
         self.quota = np.asarray(sizes, dtype=np.int64).copy()
         self.deg = graph.degrees.astype(np.float64)
-        self.neighbors = [np.asarray(a, dtype=np.intp) for a in graph.adjacency]
+        self.neighbors = graph._neighbor_index
         nbr_quota = np.array([sum(sizes[j] for j in a) for a in graph.adjacency], dtype=np.float64)
         self.quota_bal = 2.0 * (self.quota * self.deg - nbr_quota)
         self.sum_bal = np.zeros((k, dim))
@@ -206,22 +207,64 @@ def apply_selection(state, class_index: int, point) -> None:
     state.apply(class_index, np.asarray(point, dtype=np.float64))
 
 
-def _traverse(centered: np.ndarray, state) -> np.ndarray:
-    """Assign every row to a class, scanning rows in reverse order."""
-    n = centered.shape[0]
-    prefix = np.cumsum(centered, axis=0)
-    sq = np.einsum("ij,ij->i", centered, centered)
-    sq_prefix = np.cumsum(sq)
-    assign = np.empty(n, dtype=np.int64)
-    for t in range(n - 1, -1, -1):
-        p = centered[t]
+def _centered_block(rows: np.ndarray, center: np.ndarray, carry):
+    """rows - center, with the running sums of those rows and of their squared norms.
+
+    carry holds both sums over every row before the block, or is None for
+    the first block. np.cumsum adds one row at a time, so adding the carry
+    into the first row gives, bit for bit, the sums of one cumsum over all
+    rows.
+    """
+    block = rows - center
+    sq = np.einsum("ij,ij->i", block, block)
+    if carry is None:
+        return block, np.cumsum(block, axis=0), np.cumsum(sq)
+    prefix = block.copy()
+    prefix[0] += carry[0]
+    sq[0] += carry[1]
+    return block, np.cumsum(prefix, axis=0, out=prefix), np.cumsum(sq, out=sq)
+
+
+def _block_carry(rows: np.ndarray, center: np.ndarray, carry) -> tuple[np.ndarray, float]:
+    """The two running sums at the end of the block, copied out of its temporaries."""
+    _, prefix, sq_prefix = _centered_block(rows, center, carry)
+    return prefix[-1].copy(), float(sq_prefix[-1])
+
+
+def _traverse_block(rows, center, lo: int, carry, state, assign: np.ndarray) -> None:
+    """Assign rows lo, lo+1, ... of the input, scanning them in reverse order."""
+    block, prefix, sq_prefix = _centered_block(rows, center, carry)
+    for t in range(block.shape[0] - 1, -1, -1):
+        p = block[t]
         if t > 0:
-            coef_n, coef_r, w = step_coefficients(p, t, prefix[t - 1], float(sq_prefix[t - 1]))
+            coef_n, coef_r, w = step_coefficients(p, lo + t, prefix[t - 1], float(sq_prefix[t - 1]))
+        elif lo > 0:
+            coef_n, coef_r, w = step_coefficients(p, lo, carry[0], carry[1])
         else:
             coef_n, coef_r, w = step_coefficients(p, 0, None, 0.0)
         i = select_class(state, coef_n, coef_r, w)
         apply_selection(state, i, p)
-        assign[t] = i
+        assign[lo + t] = i
+
+
+def _traverse(coords: np.ndarray, center: np.ndarray, state) -> np.ndarray:
+    """Assign every row of coords - center to a class, scanning rows in reverse order.
+
+    The centered rows, their squared norms and the prefix sums of both are
+    formed one _SCAN_BYTES block of rows at a time, and only one block's
+    temporaries are alive at once. A forward pass over every block but the
+    last keeps the two sums at each block start; the reverse pass
+    re-accumulates each block from its carry. An input of one block does
+    no forward pass.
+    """
+    step = _block_rows(8 * coords.shape[1])
+    starts = range(0, coords.shape[0], step)
+    carries = [None]
+    for lo in starts[:-1]:
+        carries.append(_block_carry(coords[lo : lo + step], center, carries[-1]))
+    assign = np.empty(coords.shape[0], dtype=np.int64)
+    for lo, carry in zip(reversed(starts), reversed(carries)):
+        _traverse_block(coords[lo : lo + step], center, lo, carry, state, assign)
     return assign
 
 
@@ -387,14 +430,20 @@ def _assign_from_parts(parts, n: int) -> np.ndarray:
     return assign
 
 
-def _class_sums(rows: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class row sums and row counts, grouped in one pass.
+def _class_sums(
+    coords: np.ndarray, center: np.ndarray, assign: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class sums of coords - center, and row counts.
 
-    Callers pass rows already centered near the origin, so the sums keep
-    their precision for inputs far from it.
+    Centering keeps the sums precise for inputs far from the origin. The
+    rows are centered one _SCAN_BYTES block at a time; np.add.at adds
+    them one by one in row order, so the blocks make the same additions
+    as one call over every row.
     """
-    sums = np.zeros((k, rows.shape[1]))
-    np.add.at(sums, assign, rows)
+    sums = np.zeros((k, coords.shape[1]))
+    step = _block_rows(8 * coords.shape[1])
+    for lo in range(0, coords.shape[0], step):
+        np.add.at(sums, assign[lo : lo + step], coords[lo : lo + step] - center)
     return sums, np.bincount(assign, minlength=k)
 
 
@@ -480,12 +529,13 @@ def check_certificate(cert: TverbergCertificate, points: PointSet) -> list[Check
     assign = _assign_from_parts(cert.parts, n)
     n0 = _run_rows(cert.mode, n, k)
     center = coords.mean(axis=0)
-    run_sums, run_counts = _class_sums(coords[:n0] - center, assign[:n0], k)
-    tail_sums, tail_counts = _class_sums(coords[n0:] - center, assign[n0:], k)
+    run_sums, run_counts = _class_sums(coords[:n0], center, assign[:n0], k)
+    tail_sums, tail_counts = _class_sums(coords[n0:], center, assign[n0:], k)
     cents = _part_centroids(run_sums + tail_sums, run_counts + tail_counts, center)
     checks.close("part_centroids_match", cents, cert.part_centroids, scale)
     center_err = _distance(_ball_center(cert.mode, center, cents), cert.ball.center)
     checks.close("ball_center_matches_mode", center_err, 0.0, scale)
+    checks.close("ball_radius_is_guarantee", cert.ball.radius, cert.radius_guaranteed, scale)
     achieved = _radius(cents, cert.ball.center)
     checks.close("radius_achieved_matches", achieved, cert.radius_achieved, scale)
     slack = REL_SLACK * cert.diameter_used + ABS_GUARD
@@ -524,10 +574,9 @@ def _partition(pts: PointSet, mode: str, sizes, arity, threshold: int) -> Tverbe
     n0 = _run_rows(mode, n, k)
     graph = _graph_for_mode(mode, k, arity)
     center = pts.coords[:n0].mean(axis=0)
-    centered = pts.coords[:n0] - center
     quotas = tuple(r - (j < n - n0) for j, r in enumerate(sizes))
-    assign = _traverse(centered, _TraversalState(graph, quotas, pts.dim))
-    sums, counts = _class_sums(centered, assign, k)
+    assign = _traverse(pts.coords[:n0], center, _TraversalState(graph, quotas, pts.dim))
+    sums, counts = _class_sums(pts.coords[:n0], center, assign, k)
     norm = _traversal_norm(sums, counts, graph)
 
     assign = np.concatenate([assign, np.arange(n - n0)])

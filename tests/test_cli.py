@@ -247,6 +247,18 @@ def test_verify_digest_and_tamper_exit_codes(tmp_path, capsys):
         "per_set_mode_unknown",
         "m_zero",
         "m_negative",
+        "m_fractional",
+        "m_string",
+        "dim_bool",
+        "sizes_bool",
+        "part_index_fractional",
+        "shift_fractional",
+        "colorful_part_index_string",
+        "points_string",
+        "points_bool",
+        "points_bool_among_numbers",
+        "classes_string",
+        "classes_bool",
         "arity_too_small",
         "csv_separators_only",
         "csv_not_utf8",
@@ -271,6 +283,11 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
         "points_dim_fractional": ["tverberg", str(bad), "--k", "1", "--out", str(out)],
         "points_zero_width": ["tverberg", str(bad), "--k", "1", "--out", str(out)],
         "classes_zero_width": ["colorful", str(bad), "--out", str(out)],
+        "points_string": ["tverberg", str(bad), "--k", "2", "--out", str(out)],
+        "points_bool": ["tverberg", str(bad), "--k", "2", "--out", str(out)],
+        "points_bool_among_numbers": ["tverberg", str(bad), "--k", "2", "--out", str(out)],
+        "classes_string": ["colorful", str(bad), "--out", str(out)],
+        "classes_bool": ["colorful", str(bad), "--out", str(out)],
     }
     if case == "points_dim_not_integer":
         bad.write_text('{"dim": "a", "points": [[0.0, 1.0]]}')
@@ -282,21 +299,45 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
         bad.write_text('{"points": [[]]}')
     elif case == "classes_zero_width":
         bad.write_text('{"classes": [[[]]]}')
+    elif case == "points_string":
+        bad.write_text('{"points": [["1", "2"], ["3", "4"]]}')
+    elif case == "points_bool":
+        bad.write_text('{"points": [[true, false], [false, true]]}')
+    elif case == "points_bool_among_numbers":
+        bad.write_text('{"points": [[0.5, 2.0], [1.5, true], [3.0, 4.0]]}')
+    elif case == "classes_string":
+        bad.write_text('{"classes": [[["1", "2"]], [["3", "4"]]]}')
+    elif case == "classes_bool":
+        bad.write_text('{"classes": [[[0.5, 2.0], [true, 1.0]], [[3.0, 4.0], [5.0, 6.0]]]}')
     elif case == "arity_too_small":
         cli.main(["tverberg", str(data), "--sizes", "5,6,6,7", "--out", str(out)])
         gdoc = json.loads(out.read_text())
         gdoc["parameters"]["arity"] = 1
         bad.write_bytes(cli.emit_document(gdoc))
         argvs[case] = ["verify", str(bad), str(data)]
-    elif case in ("per_set_mode_unknown", "m_zero", "m_negative"):
+    elif case in ("per_set_mode_unknown", "m_zero", "m_negative", "m_fractional", "m_string", "dim_bool"):
         hs, inputs = _hamsandwich_run(tmp_path, 60)
         hdoc = json.loads(hs.read_text())
         if case == "per_set_mode_unknown":
             hdoc["per_set"][0]["mode"] = "nosuch"
+        elif case == "dim_bool":
+            hdoc["parameters"]["dim"] = True
         else:
-            hdoc["parameters"]["m"][0] = 0 if case == "m_zero" else -6
+            # the true m is 6, which int() would read off 6.9 and "6" alike
+            hdoc["parameters"]["m"][0] = {"m_zero": 0, "m_negative": -6, "m_fractional": 6.9, "m_string": "6"}[case]
         bad.write_bytes(cli.emit_document(hdoc))
         argvs[case] = ["verify", str(bad), *inputs]
+    elif case in ("shift_fractional", "colorful_part_index_string"):
+        classes = tmp_path / "classes.json"
+        cli.main(["gen", "--classes", "3", "--k", "4", "--d", "2", "--seed", "1", "--out", str(classes)])
+        cli.main(["colorful", str(classes), "--out", str(out)])
+        cdoc = json.loads(out.read_text())
+        if case == "shift_fractional":
+            cdoc["shifts"][0] += 0.5
+        else:
+            cdoc["parts"][0][0][1] = str(cdoc["parts"][0][0][1])
+        bad.write_bytes(cli.emit_document(cdoc))
+        argvs[case] = ["verify", str(bad), str(classes)]
     elif case == "csv_separators_only":
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0 # note\n,\n")  # the header line leaves no data row
@@ -318,6 +359,10 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
             "parts_not_indices": lambda d: {**d, "parts": ["x"]},
             "mode_unknown": lambda d: {**d, "mode": "nosuch"},
             "command_not_string": lambda d: {**d, "command": ["tverberg"]},
+            "sizes_bool": lambda d: {**d, "parameters": {**d["parameters"], "sizes": [True, 11, 6, 6]}},
+            "part_index_fractional": lambda d: {
+                **d, "parts": [[d["parts"][0][0] + 0.5, *d["parts"][0][1:]], *d["parts"][1:]]
+            },
         }
         bad.write_bytes(cli.emit_document(edits[case](doc)))
         argvs[case] = ["verify", str(bad), str(data)]

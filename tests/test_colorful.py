@@ -12,7 +12,7 @@ from tverberg_nd.colorful import (
     shift_objective,
     shift_objectives,
 )
-from tverberg_nd.geom import diameter_exact
+from tverberg_nd.geom import Ball, diameter_exact
 from tverberg_nd.lifting import make_graph, quadratic_form
 from tverberg_nd.oracle import enumerate_colorful, explicit_q_vectors, explicit_tensor
 from tverberg_nd.tverberg import InfeasibleError
@@ -193,6 +193,10 @@ def test_checker_flags_tampering():
     off = dataclasses.replace(cert, part_centroids=cert.part_centroids + 1.0)
     names = {c.name for c in check_colorful_certificate(off, inst) if not c.ok}
     assert "part_centroids_match" in names
+
+    tiny = dataclasses.replace(cert, ball=Ball(cert.ball.center, 1e-6))
+    failed = [c.name for c in check_colorful_certificate(tiny, inst) if not c.ok]
+    assert failed == ["ball_radius_is_guarantee"]
 
 
 def test_checker_rejects_out_of_range_shifts():
