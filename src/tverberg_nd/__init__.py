@@ -16,7 +16,6 @@ from .colorful import (
 )
 from .geom import (
     Ball,
-    LineThroughOrigin,
     PointSet,
     centroid,
     diameter_bound,
@@ -77,7 +76,6 @@ __all__ = [
     "GraphStats",
     "InfeasibleError",
     "LiftingGraph",
-    "LineThroughOrigin",
     "PointSet",
     "ProjectionChain",
     "SizeSpec",

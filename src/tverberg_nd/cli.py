@@ -8,10 +8,10 @@ times the partitioners over a size grid and fits the growth exponent.
 Exit codes: 0 success, 1 verification check failure, 2 input parse
 failure, 3 infeasible parameters, 4 digest mismatch.
 
-Certificates are JSON with schema tag "tverberg-nd/1". Floats are
-emitted with 17 significant digits so parse(emit(x)) == x, and documents
-contain nothing run-dependent unless --timing is passed, so a rerun on
-the same input is byte-identical.
+Certificates are JSON with schema tag "tverberg-nd/2" and store each
+value once. Floats are emitted with 17 significant digits so
+parse(emit(x)) == x, and documents contain nothing run-dependent unless
+--timing is passed, so a rerun on the same input is byte-identical.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .colorful import (
     check_colorful_certificate,
     partition_colorful,
 )
-from .geom import Ball, LineThroughOrigin, PointSet
+from .geom import Ball, PointSet
 from .hamsandwich import (
     DepthCertificate,
     ProjectionChain,
@@ -51,7 +51,7 @@ from .tverberg import (
 
 __all__ = ["ParseError", "entry", "main"]
 
-SCHEMA = "tverberg-nd/1"
+SCHEMA = "tverberg-nd/2"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -293,12 +293,8 @@ BOUND_NAMES = {
 }
 
 
-def _ball_doc(center, guaranteed: float, achieved: float) -> dict:
-    return {
-        "center": np.asarray(center).tolist(),
-        "radius_guaranteed": float(guaranteed),
-        "radius_achieved": float(achieved),
-    }
+def _radii_doc(cert) -> dict:
+    return {"radius_guaranteed": float(cert.radius_guaranteed), "radius_achieved": float(cert.radius_achieved)}
 
 
 def _tverberg_body(cert: TverbergCertificate) -> dict:
@@ -312,7 +308,7 @@ def _tverberg_body(cert: TverbergCertificate) -> dict:
         },
         "parts": [list(p) for p in cert.parts],
         "part_centroids": cert.part_centroids,
-        "ball": _ball_doc(cert.ball.center, cert.radius_guaranteed, cert.radius_achieved),
+        "ball": {"center": cert.ball_center, **_radii_doc(cert)},
         "bound": {
             "name": BOUND_NAMES[cert.mode],
             "traversal_centroid_norm": cert.traversal_centroid_norm,
@@ -340,6 +336,36 @@ def _int(value) -> int:
     return value
 
 
+def _bool(value) -> bool:
+    """A JSON true or false field of a certificate; a number or string is a ValueError."""
+    if type(value) is not bool:
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _floats(value, depth: int) -> np.ndarray:
+    """A depth-level nested JSON list of finite numbers, as a float64 array.
+
+    Integers pass, since the emitter writes 0.0 as 0. A bool or string
+    leaf, a ragged list, NaN, an infinity or an integer beyond the float
+    range is a ValueError; a list nested less deeply is a TypeError.
+    """
+    if not _only_numbers(value, depth):
+        raise ValueError(f"expected JSON numbers in lists nested {depth} deep")
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("a number is beyond the float range") from None
+    if not np.isfinite(arr).all():
+        raise ValueError("numbers must be finite")
+    return arr
+
+
+def _float(value) -> float:
+    """A finite JSON number field of a certificate, under the rules of _floats."""
+    return float(_floats([value], 1)[0])
+
+
 def _tverberg_from_doc(doc: dict) -> TverbergCertificate:
     """Decode the fields _tverberg_body writes.
 
@@ -357,14 +383,14 @@ def _tverberg_from_doc(doc: dict) -> TverbergCertificate:
         sizes=tuple(_int(r) for r in doc["parameters"]["sizes"]),
         arity=arity,
         parts=tuple(tuple(_int(i) for i in part) for part in doc["parts"]),
-        part_centroids=np.asarray(doc["part_centroids"], dtype=np.float64),
-        ball=Ball(np.asarray(ball["center"], dtype=np.float64), float(ball["radius_guaranteed"])),
-        radius_guaranteed=float(ball["radius_guaranteed"]),
-        radius_achieved=float(ball["radius_achieved"]),
-        traversal_centroid_norm=float(doc["bound"]["traversal_centroid_norm"]),
-        traversal_norm_bound=float(doc["bound"]["traversal_norm_bound"]),
-        diameter_used=float(doc["diameter_used"]),
-        diameter_exact=bool(doc["diameter_exact"]),
+        part_centroids=_floats(doc["part_centroids"], 2),
+        ball_center=_floats(ball["center"], 1),
+        radius_guaranteed=_float(ball["radius_guaranteed"]),
+        radius_achieved=_float(ball["radius_achieved"]),
+        traversal_centroid_norm=_float(doc["bound"]["traversal_centroid_norm"]),
+        traversal_norm_bound=_float(doc["bound"]["traversal_norm_bound"]),
+        diameter_used=_float(doc["diameter_used"]),
+        diameter_exact=_bool(doc["diameter_exact"]),
     )
 
 
@@ -377,7 +403,7 @@ def _colorful_doc(cert: ColorfulCertificate, digest: str, timing_ms: float | Non
         "shifts": list(cert.shifts),
         "parts": [[list(pair) for pair in part] for part in cert.parts],
         "part_centroids": cert.part_centroids,
-        "ball": _ball_doc(cert.ball.center, cert.radius_guaranteed, cert.radius_achieved),
+        "ball": _radii_doc(cert),
         "lifted_sum_norm": cert.lifted_sum_norm,
         "max_class_diameter": cert.max_class_diameter,
         "timing_ms": timing_ms,
@@ -391,12 +417,11 @@ def _colorful_from_doc(doc: dict) -> ColorfulCertificate:
         k=_int(doc["parameters"]["k"]),
         shifts=tuple(_int(t) for t in doc["shifts"]),
         parts=tuple(tuple((_int(c), _int(i)) for c, i in part) for part in doc["parts"]),
-        part_centroids=np.asarray(doc["part_centroids"], dtype=np.float64),
-        ball=Ball(np.asarray(ball["center"], dtype=np.float64), float(ball["radius_guaranteed"])),
-        radius_guaranteed=float(ball["radius_guaranteed"]),
-        radius_achieved=float(ball["radius_achieved"]),
-        lifted_sum_norm=float(doc["lifted_sum_norm"]),
-        max_class_diameter=float(doc["max_class_diameter"]),
+        part_centroids=_floats(doc["part_centroids"], 2),
+        radius_guaranteed=_float(ball["radius_guaranteed"]),
+        radius_achieved=_float(ball["radius_achieved"]),
+        lifted_sum_norm=_float(doc["lifted_sum_norm"]),
+        max_class_diameter=_float(doc["max_class_diameter"]),
     )
 
 
@@ -413,14 +438,8 @@ def _hamsandwich_doc(cert: DepthCertificate, digests: list[str], timing_ms: floa
         "translation": cert.translation,
         "axes_local": [a.tolist() for a in cert.chain.axes_local],
         "axes_ambient": cert.chain.axes_ambient,
-        "lines_local": [ln.direction.tolist() for ln in cert.chain.lines],
         "subspace_basis": cert.chain.basis,
-        "ball": {
-            "center_local": cert.ball.center,
-            "center_ambient": cert.ball_center_ambient,
-            "radius": cert.ball.radius,
-        },
-        "constructive_radius": cert.constructive_radius,
+        "ball": {"radius": cert.radius},
         "existential_radius": cert.existential_radius,
         "depth_lower_bounds": list(cert.depth_lower_bounds),
         "set_diameters": list(cert.set_diameters),
@@ -437,25 +456,20 @@ def _hamsandwich_from_doc(doc: dict) -> DepthCertificate:
         raise ValueError(f"every m entry must be at least 1, got {m}")
     dim = _int(doc["parameters"]["dim"])
     chain = ProjectionChain(
-        axes_local=tuple(np.asarray(a, dtype=np.float64) for a in doc["axes_local"]),
-        axes_ambient=np.asarray(doc["axes_ambient"], dtype=np.float64).reshape(-1, dim),
-        lines=tuple(
-            LineThroughOrigin(np.asarray(v, dtype=np.float64)) for v in doc["lines_local"]
-        ),
-        basis=np.asarray(doc["subspace_basis"], dtype=np.float64),
+        axes_local=tuple(_floats(a, 1) for a in doc["axes_local"]),
+        axes_ambient=_floats(doc["axes_ambient"], 2).reshape(-1, dim),
+        basis=_floats(doc["subspace_basis"], 2),
     )
     return DepthCertificate(
-        translation=np.asarray(doc["translation"], dtype=np.float64),
+        translation=_floats(doc["translation"], 1),
         chain=chain,
-        ball=Ball(np.asarray(doc["ball"]["center_local"], dtype=np.float64), float(doc["ball"]["radius"])),
-        ball_center_ambient=np.asarray(doc["ball"]["center_ambient"], dtype=np.float64),
+        radius=_float(doc["ball"]["radius"]),
         m=m,
         depth_lower_bounds=tuple(_int(v) for v in doc["depth_lower_bounds"]),
         per_set=tuple(_tverberg_from_doc(sd) for sd in doc["per_set"]),
-        constructive_radius=float(doc["constructive_radius"]),
-        existential_radius=float(doc["existential_radius"]),
-        set_diameters=tuple(float(v) for v in doc["set_diameters"]),
-        set_diameters_exact=tuple(bool(v) for v in doc["set_diameters_exact"]),
+        existential_radius=_float(doc["existential_radius"]),
+        set_diameters=tuple(_float(v) for v in doc["set_diameters"]),
+        set_diameters_exact=tuple(_bool(v) for v in doc["set_diameters_exact"]),
         oracle_depths=None
         if doc["oracle_depths"] is None
         else tuple(_int(v) for v in doc["oracle_depths"]),
@@ -609,7 +623,7 @@ def cmd_hamsandwich(args) -> int:
     bounds = ",".join(str(b) for b in cert.depth_lower_bounds)
     print(
         f"hamsandwich: k={len(sets)} dim={sets[0].dim} depth_bounds={bounds} "
-        f"radius={cert.constructive_radius:.6g}"
+        f"radius={cert.radius:.6g}"
     )
     return EXIT_OK
 

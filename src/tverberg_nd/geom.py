@@ -17,9 +17,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "DEGENERATE_DIRECTION_TOL",
     "Ball",
-    "LineThroughOrigin",
     "PointSet",
     "as_point",
     "centroid",
@@ -27,8 +25,6 @@ __all__ = [
     "diameter_exact",
     "diameter_upper",
 ]
-
-DEGENERATE_DIRECTION_TOL = 1e-12
 
 # Largest n for which the exact O(n^2 d) diameter is computed by default;
 # beyond it the 2-approximation around the centroid is used instead.
@@ -115,30 +111,6 @@ class Ball:
 
     def contains(self, p, tol: float = 0.0) -> bool:
         return float(np.linalg.norm(as_point(p) - self.center)) <= self.radius + tol
-
-
-@dataclass(frozen=True, eq=False)
-class LineThroughOrigin:
-    """Line through the origin, stored as a unit direction vector."""
-
-    direction: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = as_point(self.direction)
-        nrm = float(np.linalg.norm(d))
-        if abs(nrm - 1.0) > DEGENERATE_DIRECTION_TOL:
-            raise ValueError("line direction must be a unit vector")
-        d.setflags(write=False)
-        object.__setattr__(self, "direction", d)
-
-    @classmethod
-    def through(cls, v) -> "LineThroughOrigin":
-        """Normalize v and build the line it spans."""
-        v = as_point(v)
-        nrm = float(np.linalg.norm(v))
-        if nrm <= DEGENERATE_DIRECTION_TOL:
-            raise ValueError("degenerate projection direction")
-        return cls(v / nrm)
 
 
 def _as_point_set(points) -> PointSet:

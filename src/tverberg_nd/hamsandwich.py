@@ -21,7 +21,9 @@ at least ceil(|P_i| / m_i) points of every set.
 
 Pulled back to the input space, the certified region is the product of
 that ball with the k-1 projected-out lines: DepthCertificate.contains
-only constrains the component inside the final subspace.
+only constrains the component inside the final subspace. The ball sits
+at that subspace's origin, the translation, so a certificate stores its
+radius alone.
 
 The build self-checks how the pieces fit together (_frame_checks): the
 frame, the depth bounds, the radius, the ball and its cover of every
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Ball, LineThroughOrigin, PointSet, _as_point_set, centroid, diameter_bound
+from .geom import Ball, PointSet, _as_point_set, centroid, diameter_bound
 from .oracle import depth_2d_exact
 from .tverberg import (
     ABS_GUARD,
@@ -64,6 +66,7 @@ __all__ = [
 ]
 
 DEGENERATE_CENTROID_TOL = 1e-12
+DEGENERATE_DIRECTION_TOL = 1e-12
 CENTERED_TOL = 1e-9
 
 
@@ -73,16 +76,15 @@ class ProjectionChain:
 
     axes_local[i] is the direction eliminated at step i, written in the
     coordinates of the subspace it was found in (length shrinks by one
-    per step). axes_ambient rows are the same directions as unit vectors
-    of the input space; they are pairwise orthogonal. lines[i] is the
-    unit line spanned by axes_local[i]. basis rows are an orthonormal
-    basis of the final subspace, in input coordinates: local coordinates
-    of y are basis @ y.
+    per step); the rest of the chain is replayed from it. axes_ambient
+    rows are the same directions as unit vectors of the input space;
+    they are pairwise orthogonal. basis rows are an orthonormal basis of
+    the final subspace, in input coordinates: local coordinates of y are
+    basis @ y.
     """
 
     axes_local: tuple[np.ndarray, ...]
     axes_ambient: np.ndarray
-    lines: tuple[LineThroughOrigin, ...]
     basis: np.ndarray
 
     @property
@@ -106,10 +108,16 @@ def _householder_rows(u: np.ndarray) -> np.ndarray:
     return np.delete(h, j, axis=0)
 
 
-def _chain_step(axis: np.ndarray, basis: np.ndarray) -> tuple[LineThroughOrigin, np.ndarray, np.ndarray]:
-    """Eliminate local direction axis: (its line, its ambient unit vector, next basis)."""
-    line = LineThroughOrigin.through(axis)
-    return line, line.direction @ basis, _householder_rows(line.direction) @ basis
+def _chain_step(axis: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eliminate local direction axis: (its ambient unit vector, next basis).
+
+    A zero or non-finite axis is a ValueError.
+    """
+    nrm = float(np.linalg.norm(axis))
+    if not DEGENERATE_DIRECTION_TOL < nrm < math.inf:
+        raise ValueError("degenerate projection direction")
+    u = axis / nrm
+    return u @ basis, _householder_rows(u) @ basis
 
 
 def _validated_sets(sets) -> list[PointSet]:
@@ -145,21 +153,18 @@ def align_centroids(sets) -> tuple[ProjectionChain, list[np.ndarray]]:
     basis = np.eye(d)
     axes_local: list[np.ndarray] = []
     axes_ambient: list[np.ndarray] = []
-    lines: list[LineThroughOrigin] = []
     for p in pts[1:]:
         axis = basis @ centroid(p)
         if float(np.linalg.norm(axis)) <= DEGENERATE_CENTROID_TOL * max(scale, 1.0):
             axis = np.zeros(basis.shape[0])
             axis[0] = 1.0  # centroids already coincide; drop a canonical direction
-        line, ambient, basis = _chain_step(axis, basis)
+        ambient, basis = _chain_step(axis, basis)
         axes_local.append(axis)
         axes_ambient.append(ambient)
-        lines.append(line)
 
     chain = ProjectionChain(
         axes_local=tuple(axes_local),
         axes_ambient=np.array(axes_ambient).reshape(k - 1, d),
-        lines=tuple(lines),
         basis=basis,
     )
     return chain, [p.coords @ basis.T for p in pts]
@@ -200,7 +205,9 @@ class DepthCertificate:
     subspace (rows indexed as in the input sets). depth_lower_bounds[i] =
     ceil(|P_i| / m[i]) is the number of parts, hence the minimum point
     count of set i in any halfspace containing the product region (see
-    contains). constructive_radius is the emitted ball radius;
+    contains). radius is the radius of the ball, which sits at the origin
+    of the final subspace; ball, constructive_radius and
+    ball_center_ambient (the translation) are derived from it.
     existential_radius = (2 + 2*sqrt(2)) * max_i diam(P_i)/sqrt(m_i) is
     the smaller non-constructive target it replaces, reported for
     comparison only. oracle_depths holds the exact planar depth of the
@@ -209,16 +216,27 @@ class DepthCertificate:
 
     translation: np.ndarray
     chain: ProjectionChain
-    ball: Ball
-    ball_center_ambient: np.ndarray
+    radius: float
     m: tuple[int, ...]
     depth_lower_bounds: tuple[int, ...]
     per_set: tuple[TverbergCertificate, ...]
-    constructive_radius: float
     existential_radius: float
     set_diameters: tuple[float, ...]
     set_diameters_exact: tuple[bool, ...]
     oracle_depths: tuple[int, ...] | None
+
+    @property
+    def ball(self) -> Ball:
+        """The certified ball in the final subspace's coordinates."""
+        return Ball(np.zeros(self.chain.basis.shape[0]), self.radius)
+
+    @property
+    def constructive_radius(self) -> float:
+        return self.radius
+
+    @property
+    def ball_center_ambient(self) -> np.ndarray:
+        return self.translation
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         """Membership in the product region: the ball times the projected-out lines.
@@ -227,7 +245,7 @@ class DepthCertificate:
         is constrained; components along the eliminated lines are free.
         """
         z = self.chain.basis @ (np.asarray(x, dtype=np.float64) - self.translation)
-        return float(np.linalg.norm(z - self.ball.center)) <= self.ball.radius + tol
+        return float(np.linalg.norm(z)) <= self.radius + tol
 
 
 def generalized_ham_sandwich(sets, m) -> DepthCertificate:
@@ -238,7 +256,6 @@ def generalized_ham_sandwich(sets, m) -> DepthCertificate:
     t = centroid(pts[0])
     chain, projected = align_centroids([p.coords - t for p in pts])
     ball, per_set, depths = joint_depth_ball(projected, m)
-    center_ambient = t + ball.center @ chain.basis
 
     diams = [diameter_bound(p) for p in pts]
     existential = (2.0 + 2.0 * math.sqrt(2.0)) * max(
@@ -246,17 +263,15 @@ def generalized_ham_sandwich(sets, m) -> DepthCertificate:
     )
     oracle_depths = None
     if pts[0].dim == 2 and all(p.n <= 1000 for p in pts):
-        oracle_depths = tuple(depth_2d_exact(center_ambient, p) for p in pts)
+        oracle_depths = tuple(depth_2d_exact(t, p) for p in pts)
 
     cert = DepthCertificate(
         translation=t,
         chain=chain,
-        ball=ball,
-        ball_center_ambient=center_ambient,
+        radius=ball.radius,
         m=m,
         depth_lower_bounds=depths,
         per_set=tuple(per_set),
-        constructive_radius=ball.radius,
         existential_radius=existential,
         set_diameters=tuple(dv for dv, _ in diams),
         set_diameters_exact=tuple(flag for _, flag in diams),
@@ -270,20 +285,18 @@ def _replay_error(chain: ProjectionChain, d: int) -> float:
     """Largest entrywise gap between the stored frame and the chain replayed from axes_local.
 
     The replay runs the build's own elimination steps; inf when a stored
-    line or axis cannot match in shape or an axis cannot be normalized.
-    The caller has checked the shapes of axes_ambient and the basis.
+    axis cannot match in shape or cannot be normalized. The caller has
+    checked the shapes of axes_ambient and the basis.
     """
-    if len(chain.lines) != chain.steps:
-        return math.inf
     basis, errs = np.eye(d), []
-    for axis, line, ambient in zip(chain.axes_local, chain.lines, chain.axes_ambient):
-        if axis.shape != (basis.shape[0],) or line.direction.shape != axis.shape:
+    for axis, ambient in zip(chain.axes_local, chain.axes_ambient):
+        if axis.shape != (basis.shape[0],):
             return math.inf
         try:
-            replayed, replayed_ambient, basis = _chain_step(axis, basis)
+            replayed_ambient, basis = _chain_step(axis, basis)
         except ValueError:  # a zero or non-finite axis
             return math.inf
-        errs += [np.abs(replayed.direction - line.direction).max(), np.abs(replayed_ambient - ambient).max()]
+        errs.append(np.abs(replayed_ambient - ambient).max())
     errs.append(np.abs(basis - chain.basis).max(initial=0.0))
     return float(np.max(errs))
 
@@ -292,9 +305,9 @@ def _frame_checks(cert: DepthCertificate, pts: list[PointSet]) -> tuple[_Checks,
     """Check how the pieces of a depth certificate fit together, from the raw sets.
 
     Covers the shapes, the translation, the basis and axes, the chain
-    replay, the projected centroids, the depth bounds, the radius, the
-    ball center and its cover of every part centroid, the set diameters,
-    the existential radius and the product region. The per-set
+    replay, the projected centroids, the depth bounds, the radius and the
+    ball's cover of every part centroid, the set diameters, the
+    existential radius and the product region. The per-set
     certificates themselves are not rechecked. Returns the checks and
     the sets projected by the certificate's own frame, (x - translation)
     @ basis.T, or None when the stored arrays do not fit the input's
@@ -309,9 +322,8 @@ def _frame_checks(cert: DepthCertificate, pts: list[PointSet]) -> tuple[_Checks,
     checks.add("set_count_at_most_dim", 1 <= k <= d, f"k={k} d={d}")
     per_set = (cert.per_set, cert.m, cert.depth_lower_bounds, cert.set_diameters, cert.set_diameters_exact)
     lengths = [len(v) for v in per_set] + [cert.chain.steps + 1]
-    frame = (cert.translation, cert.ball_center_ambient, basis, cert.ball.center, axes)
-    shapes = [a.shape for a in frame]
-    shapes_ok = lengths == [k] * 6 and shapes == [(d,), (d,), (sub_dim, d), (sub_dim,), (k - 1, d)]
+    shapes = [a.shape for a in (cert.translation, basis, axes)]
+    shapes_ok = lengths == [k] * 6 and shapes == [(d,), (sub_dim, d), (k - 1, d)]
     checks.add("shapes_consistent", shapes_ok, f"k={k} d={d}: lengths {lengths}, shapes {shapes}")
     checks.add("basis_shape", basis.shape == (sub_dim, d), f"shape {basis.shape}")
     if not shapes_ok:
@@ -343,24 +355,19 @@ def _frame_checks(cert: DepthCertificate, pts: list[PointSet]) -> tuple[_Checks,
         )
 
     radius = max(2.0 * sub.radius_guaranteed for sub in cert.per_set)
-    stored = [cert.ball.radius, cert.constructive_radius]
-    checks.close("radius_is_twice_worst_guarantee", [radius, radius], stored, radius)
-    checks.close("ball_centered_at_origin", np.linalg.norm(cert.ball.center), 0.0, scale)
-    ambient = cert.translation + cert.ball.center @ basis
-    amb_err = np.linalg.norm(cert.ball_center_ambient - ambient)
-    checks.close("ambient_center_consistent", amb_err, 0.0, scale)
+    checks.close("radius_is_twice_worst_guarantee", radius, cert.radius, radius)
 
-    cover_slack = CENTERED_TOL * scale + REL_SLACK * max(cert.ball.radius, 1.0) + ABS_GUARD
+    cover_slack = CENTERED_TOL * scale + REL_SLACK * max(cert.radius, 1.0) + ABS_GUARD
     worst = 0.0
     for q, sub in zip(projected, cert.per_set):
-        if sorted(i for part in sub.parts for i in part) != list(range(len(q))):
-            continue  # not a partition of the set: check_certificate fails it
+        if sorted(i for part in sub.parts for i in part) != list(range(len(q))) or not all(sub.parts):
+            continue  # not a partition of the set into non-empty parts: check_certificate fails it
         cents = np.stack([q[list(part)].mean(axis=0) for part in sub.parts])
-        worst = max(worst, _radius(cents, cert.ball.center))
+        worst = max(worst, _radius(cents, np.zeros(sub_dim)))
     checks.add(
         "ball_covers_all_part_centroids",
-        worst <= cert.ball.radius + cover_slack,
-        f"worst {worst!r} radius {cert.ball.radius!r}",
+        worst <= cert.radius + cover_slack,
+        f"worst {worst!r} radius {cert.radius!r}",
     )
 
     diams = [diameter_bound(p, p.n if flag else 0)[0] for p, flag in zip(pts, cert.set_diameters_exact)]
@@ -370,11 +377,11 @@ def _frame_checks(cert: DepthCertificate, pts: list[PointSet]) -> tuple[_Checks,
     )
     checks.close("existential_radius_formula", existential, cert.existential_radius, existential)
 
-    member = cert.contains(cert.ball_center_ambient)
+    member = cert.contains(cert.translation)
     along_lines = True
     for j in range(cert.chain.steps):
         along_lines = along_lines and cert.contains(
-            cert.ball_center_ambient + (1.0 + scale) * cert.chain.axes_ambient[j]
+            cert.translation + (1.0 + scale) * cert.chain.axes_ambient[j]
         )
     checks.add("product_contains_center_and_lines", member and along_lines)
     return checks, projected
@@ -400,6 +407,6 @@ def check_depth_certificate(cert: DepthCertificate, sets) -> list[CheckResult]:
     if cert.oracle_depths is not None:
         ok = len(cert.oracle_depths) == len(pts) and pts[0].dim == 2
         if ok:
-            ok = tuple(depth_2d_exact(cert.ball_center_ambient, p) for p in pts) == cert.oracle_depths
+            ok = tuple(depth_2d_exact(cert.translation, p) for p in pts) == cert.oracle_depths
         checks.add("oracle_depths_match", ok)
     return checks

@@ -340,13 +340,14 @@ def traversal_norm_bound(mode: str, n: int, k: int, diam: float, max_degree: int
 class TverbergCertificate:
     """Partition plus the measured and guaranteed covering radii.
 
-    parts hold 0-based input row indices; part_centroids and the ball
-    live in the original input coordinates. The ball radius equals
-    radius_guaranteed; radius_achieved is the measured distance from the
-    ball center to the farthest part centroid. traversal_centroid_norm is
-    the norm of the mean lifted point of the run that produced the
-    partition (for the nearly balanced mode: of its balanced sub-run),
-    and must stay below traversal_norm_bound.
+    parts hold 0-based input row indices; part_centroids and ball_center
+    live in the original input coordinates. The covering ball is the
+    property ball: ball_center with radius radius_guaranteed.
+    radius_achieved is the measured distance from the ball center to the
+    farthest part centroid. traversal_centroid_norm is the norm of the
+    mean lifted point of the run that produced the partition (for the
+    nearly balanced mode: of its balanced sub-run), and must stay below
+    traversal_norm_bound.
     """
 
     mode: str
@@ -354,13 +355,17 @@ class TverbergCertificate:
     arity: int | None
     parts: tuple[tuple[int, ...], ...]
     part_centroids: np.ndarray
-    ball: Ball
+    ball_center: np.ndarray
     radius_guaranteed: float
     radius_achieved: float
     traversal_centroid_norm: float
     traversal_norm_bound: float
     diameter_used: float
     diameter_exact: bool
+
+    @property
+    def ball(self) -> Ball:
+        return Ball(self.ball_center, self.radius_guaranteed)
 
     @property
     def k(self) -> int:
@@ -533,10 +538,9 @@ def check_certificate(cert: TverbergCertificate, points: PointSet) -> list[Check
     tail_sums, tail_counts = _class_sums(coords[n0:], center, assign[n0:], k)
     cents = _part_centroids(run_sums + tail_sums, run_counts + tail_counts, center)
     checks.close("part_centroids_match", cents, cert.part_centroids, scale)
-    center_err = _distance(_ball_center(cert.mode, center, cents), cert.ball.center)
+    center_err = _distance(_ball_center(cert.mode, center, cents), cert.ball_center)
     checks.close("ball_center_matches_mode", center_err, 0.0, scale)
-    checks.close("ball_radius_is_guarantee", cert.ball.radius, cert.radius_guaranteed, scale)
-    achieved = _radius(cents, cert.ball.center)
+    achieved = _radius(cents, cert.ball_center)
     checks.close("radius_achieved_matches", achieved, cert.radius_achieved, scale)
     slack = REL_SLACK * cert.diameter_used + ABS_GUARD
     checks.add(
@@ -595,7 +599,7 @@ def _partition(pts: PointSet, mode: str, sizes, arity, threshold: int) -> Tverbe
         arity=arity,
         parts=parts,
         part_centroids=cents,
-        ball=Ball(ball_center, guaranteed),
+        ball_center=ball_center,
         radius_guaranteed=guaranteed,
         radius_achieved=achieved,
         traversal_centroid_norm=norm,

@@ -94,6 +94,50 @@ def test_hamsandwich_document_round_trip():
     assert cli.emit_document(doc2) == cli.emit_document(doc)
 
 
+_BODY_KEYS = {"mode", "parameters", "parts", "part_centroids", "ball", "bound", "diameter_used", "diameter_exact"}
+_TVERBERG_BALL_KEYS = {"center", "radius_guaranteed", "radius_achieved"}
+
+
+@pytest.mark.parametrize(
+    "kind, keys, ball_keys",
+    [
+        ("tverberg", _BODY_KEYS, _TVERBERG_BALL_KEYS),
+        (
+            "colorful",
+            {"parameters", "shifts", "parts", "part_centroids", "ball", "lifted_sum_norm", "max_class_diameter"},
+            {"radius_guaranteed", "radius_achieved"},
+        ),
+        (
+            "hamsandwich",
+            {
+                "parameters", "translation", "axes_local", "axes_ambient", "subspace_basis", "ball",
+                "existential_radius", "depth_lower_bounds", "set_diameters", "set_diameters_exact",
+                "oracle_depths", "per_set",
+            },
+            {"radius"},
+        ),
+    ],
+    ids=["tverberg", "colorful", "hamsandwich"],
+)
+def test_document_keys_are_the_schema(tmp_path, kind, keys, ball_keys):
+    # each stored value is a source: a key restating another would need its own decode step and check
+    data, out = tmp_path / "in", tmp_path / "c.json"
+    if kind == "tverberg":
+        cli.main(["gen", "--n", "40", "--d", "3", "--seed", "1", "--out", str(data)])
+        cli.main(["tverberg", str(data), "--k", "4", "--out", str(out)])
+    elif kind == "colorful":
+        cli.main(["gen", "--classes", "3", "--k", "4", "--d", "3", "--seed", "1", "--out", str(data)])
+        cli.main(["colorful", str(data), "--out", str(out)])
+    else:
+        out, _ = _hamsandwich_run(tmp_path, 60)
+    doc = json.loads(out.read_text())
+    assert doc["schema"] == "tverberg-nd/2" and doc["command"] == kind
+    assert set(doc) == {"schema", "command", "input_digest", "timing_ms"} | keys
+    assert set(doc["ball"]) == ball_keys
+    for sub in doc.get("per_set", []):
+        assert set(sub) == _BODY_KEYS and set(sub["ball"]) == _TVERBERG_BALL_KEYS
+
+
 def test_float_emission_is_lossless():
     vals = [0.1, 1.0 / 3.0, 1e-300, 123456789.123456789, -0.0]
     emitted = cli.emit_document({"vals": vals})
@@ -219,9 +263,10 @@ def test_verify_digest_and_tamper_exit_codes(tmp_path, capsys):
     assert cli.main(["verify", str(tampered), str(data)]) == cli.EXIT_CHECK_FAILED
     assert "FAIL radius_achieved_matches" in capsys.readouterr().out
 
-    doc["schema"] = "tverberg-nd/999"
-    tampered.write_bytes(cli.emit_document(doc))
-    assert cli.main(["verify", str(tampered), str(data)]) == cli.EXIT_PARSE
+    for schema in ("tverberg-nd/999", "tverberg-nd/1"):  # unknown, and the first schema, which stored copies
+        fresh = {**json.loads(out.read_text()), "schema": schema}
+        tampered.write_bytes(cli.emit_document(fresh))
+        assert cli.main(["verify", str(tampered), str(data)]) == cli.EXIT_PARSE
 
     not_json = _write(tmp_path / "nj.json", "{broken")
     assert cli.main(["verify", not_json, str(data)]) == cli.EXIT_PARSE
@@ -264,6 +309,12 @@ def test_verify_digest_and_tamper_exit_codes(tmp_path, capsys):
         "csv_not_utf8",
         "json_points_not_utf8",
         "certificate_not_utf8",
+        "radius_string",
+        "centroid_string",
+        "center_bool",
+        "diameter_exact_string",
+        "diameter_exact_int",
+        "radius_nan",
     ],
 )
 def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
@@ -352,6 +403,10 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
     elif case == "certificate_not_utf8":
         bad.write_bytes(b"\xff" + cli.emit_document(doc))
         argvs[case] = ["verify", str(bad), str(data)]
+    elif case == "radius_nan":
+        doc["ball"]["radius_guaranteed"] = math.nan
+        bad.write_text(json.dumps(doc))  # json writes NaN, which its reader accepts
+        argvs[case] = ["verify", str(bad), str(data)]
     elif case not in argvs:
         edits = {
             "top_level_list": lambda d: [d],
@@ -363,6 +418,20 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
             "part_index_fractional": lambda d: {
                 **d, "parts": [[d["parts"][0][0] + 0.5, *d["parts"][0][1:]], *d["parts"][1:]]
             },
+            # each holds the true value in a wrong JSON type, which a coercing decoder would accept
+            "radius_string": lambda d: {
+                **d, "ball": {**d["ball"], "radius_guaranteed": repr(d["ball"]["radius_guaranteed"])}
+            },
+            "centroid_string": lambda d: {
+                **d,
+                "part_centroids": [
+                    [repr(d["part_centroids"][0][0]), *d["part_centroids"][0][1:]],
+                    *d["part_centroids"][1:],
+                ],
+            },
+            "center_bool": lambda d: {**d, "ball": {**d["ball"], "center": [True, *d["ball"]["center"][1:]]}},
+            "diameter_exact_string": lambda d: {**d, "diameter_exact": "false"},
+            "diameter_exact_int": lambda d: {**d, "diameter_exact": int(d["diameter_exact"])},
         }
         bad.write_bytes(cli.emit_document(edits[case](doc)))
         argvs[case] = ["verify", str(bad), str(data)]
@@ -441,17 +510,12 @@ def test_tampered_certificate_fails_verify(tmp_path, capsys, kind, edit):
 
 
 @pytest.mark.parametrize("resize", ["append", "truncate"])
-@pytest.mark.parametrize(
-    "kind, check", [("tverberg", "ball_center_matches_mode"), ("colorful", "ball_center_is_hub_centroid")]
-)
+@pytest.mark.parametrize("kind, check", [("tverberg", "ball_center_matches_mode")])
 def test_wrong_length_ball_center_fails_named_check(tmp_path, capsys, kind, check, resize):
+    # only Tverberg documents store a ball center; a colorful ball sits at the hub centroid
     data, out = tmp_path / "in", tmp_path / "c.json"
-    if kind == "tverberg":
-        cli.main(["gen", "--n", "40", "--d", "3", "--seed", "1", "--out", str(data)])
-        cli.main(["tverberg", str(data), "--k", "4", "--out", str(out)])
-    else:
-        cli.main(["gen", "--classes", "3", "--k", "4", "--d", "3", "--seed", "1", "--out", str(data)])
-        cli.main(["colorful", str(data), "--out", str(out)])
+    cli.main(["gen", "--n", "40", "--d", "3", "--seed", "1", "--out", str(data)])
+    cli.main([kind, str(data), "--k", "4", "--out", str(out)])
     doc = json.loads(out.read_text())
     center = doc["ball"]["center"]
     doc["ball"]["center"] = center + [0.0] if resize == "append" else center[:1]
@@ -462,8 +526,7 @@ def test_wrong_length_ball_center_fails_named_check(tmp_path, capsys, kind, chec
     captured = capsys.readouterr()
     assert f"FAIL {check}  (recomputed inf stored 0.0)" in captured.out
     assert "Traceback" not in captured.err
-    if kind == "tverberg":
-        assert "FAIL radius_achieved_matches" in captured.out
+    assert "FAIL radius_achieved_matches" in captured.out
 
 
 def _tilt_axis(doc):
@@ -471,8 +534,9 @@ def _tilt_axis(doc):
 
 
 def _swap_line(doc):
-    line = doc["lines_local"][0]
-    line[0], line[1] = line[1], line[0]
+    # swap two entries of the first eliminated axis, which spans the first projected-out line
+    axis = doc["axes_local"][0]
+    axis[0], axis[1] = axis[1], axis[0]
 
 
 @pytest.mark.parametrize("edit", [_tilt_axis, _swap_line], ids=lambda f: f.__name__.lstrip("_"))
@@ -487,6 +551,45 @@ def test_tampered_chain_fails_verify(tmp_path, capsys, edit):
     assert "FAIL chain_replays_from_axes_local" in capsys.readouterr().out
 
 
+def _halve_radius(doc):
+    doc["ball"]["radius"] *= 0.5
+
+
+def _shift_translation(doc):
+    doc["translation"][0] += 1e-3
+
+
+@pytest.mark.parametrize(
+    "edit, check",
+    [(_halve_radius, "radius_is_twice_worst_guarantee"), (_shift_translation, "translation_is_first_centroid")],
+    ids=["radius", "translation"],
+)
+def test_tampered_stored_source_fails_named_check(tmp_path, capsys, edit, check):
+    # the ball's center and the ambient center are derived from these, so they must fail on their own
+    out, inputs = _hamsandwich_run(tmp_path, 60)
+    doc = json.loads(out.read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(cli.emit_document(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(bad), *inputs]) == cli.EXIT_CHECK_FAILED
+    assert f"FAIL {check}" in capsys.readouterr().out
+
+
+def test_tampered_colorful_hub_centroid_fails_verify(tmp_path, capsys):
+    # the colorful ball sits at the hub centroid, which is checked against the input
+    data, out = tmp_path / "cls.json", tmp_path / "c.json"
+    cli.main(["gen", "--classes", "3", "--k", "4", "--d", "3", "--seed", "1", "--out", str(data)])
+    cli.main(["colorful", str(data), "--out", str(out)])
+    doc = json.loads(out.read_text())
+    doc["part_centroids"][0][0] += 1e-3
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(cli.emit_document(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(bad), str(data)]) == cli.EXIT_CHECK_FAILED
+    assert "FAIL part_centroids_match" in capsys.readouterr().out
+
+
 def _cut_set_diameters(doc):
     # one exactness flag for two sets, and a tripled second diameter that
     # the existential radius is recomputed from
@@ -498,7 +601,7 @@ def _cut_set_diameters(doc):
 
 _MISSHAPEN_FRAMES = {
     "basis_one_row": lambda doc: doc.update(subspace_basis=doc["subspace_basis"][:1]),
-    "center_local_too_long": lambda doc: doc["ball"]["center_local"].append(0.0),
+    "axes_ambient_row_cut": lambda doc: doc.update(axes_ambient=doc["axes_ambient"][:-1]),
     "translation_too_short": lambda doc: doc.update(translation=doc["translation"][:2]),
     "m_one_entry": lambda doc: doc["parameters"].update(m=doc["parameters"]["m"][:1]),
     "set_diameters_cut": _cut_set_diameters,
@@ -584,4 +687,4 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert run.returncode == 0
     assert "radius_guaranteed" in run.stdout
-    assert json.loads(out.read_text())["schema"] == "tverberg-nd/1"
+    assert json.loads(out.read_text())["schema"] == "tverberg-nd/2"

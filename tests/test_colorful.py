@@ -12,7 +12,7 @@ from tverberg_nd.colorful import (
     shift_objective,
     shift_objectives,
 )
-from tverberg_nd.geom import Ball, diameter_exact
+from tverberg_nd.geom import diameter_exact
 from tverberg_nd.lifting import make_graph, quadratic_form
 from tverberg_nd.oracle import enumerate_colorful, explicit_q_vectors, explicit_tensor
 from tverberg_nd.tverberg import InfeasibleError
@@ -194,9 +194,10 @@ def test_checker_flags_tampering():
     names = {c.name for c in check_colorful_certificate(off, inst) if not c.ok}
     assert "part_centroids_match" in names
 
-    tiny = dataclasses.replace(cert, ball=Ball(cert.ball.center, 1e-6))
-    failed = [c.name for c in check_colorful_certificate(tiny, inst) if not c.ok]
-    assert failed == ["ball_radius_is_guarantee"]
+    tiny = dataclasses.replace(cert, radius_guaranteed=1e-6)
+    assert tiny.ball.radius == 1e-6
+    failed = {c.name for c in check_colorful_certificate(tiny, inst) if not c.ok}
+    assert {"radius_within_guarantee", "guarantee_formula"} <= failed
 
 
 def test_checker_rejects_out_of_range_shifts():

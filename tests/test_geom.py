@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from tverberg_nd import geom
 from tverberg_nd.geom import (
     Ball,
-    LineThroughOrigin,
     PointSet,
     as_point,
     centroid,
@@ -175,12 +174,3 @@ def test_ball_contains_and_validation():
         Ball(np.array([0.0]), -0.5)
     with pytest.raises(ValueError):
         Ball(np.array([0.0]), math.nan)
-
-
-def test_line_through_origin_normalizes():
-    ln = LineThroughOrigin.through([3.0, 4.0])
-    assert np.allclose(ln.direction, [0.6, 0.8])
-    with pytest.raises(ValueError):
-        LineThroughOrigin(np.array([1.0, 1.0]))  # not unit length
-    with pytest.raises(ValueError):
-        LineThroughOrigin.through([0.0, 0.0])

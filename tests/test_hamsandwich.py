@@ -1,9 +1,10 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from tverberg_nd.geom import Ball, PointSet
+from tverberg_nd.geom import PointSet
 from tverberg_nd.hamsandwich import (
     _householder_rows,
     align_centroids,
@@ -188,7 +189,7 @@ def test_checker_flags_tampering():
     sets = [PointSet(rng.standard_normal((24, 3))), PointSet(rng.standard_normal((24, 3)))]
     cert = generalized_ham_sandwich(sets, (4, 4))
 
-    small = dataclasses.replace(cert, ball=Ball(cert.ball.center, cert.ball.radius / 3.0))
+    small = dataclasses.replace(cert, radius=cert.radius / 3.0)
     names = {c.name for c in check_depth_certificate(small, sets) if not c.ok}
     assert "radius_is_twice_worst_guarantee" in names
 
@@ -199,3 +200,28 @@ def test_checker_flags_tampering():
     wrong_depth = dataclasses.replace(cert, depth_lower_bounds=(99, cert.depth_lower_bounds[1]))
     names = {c.name for c in check_depth_certificate(wrong_depth, sets) if not c.ok}
     assert "set0_depth_bound" in names
+
+
+@pytest.mark.parametrize("value", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
+def test_degenerate_axis_fails_the_replay(value):
+    # the replay normalizes each stored axis; one it cannot normalize fails the check, not the run
+    rng = np.random.default_rng(11)
+    sets = [PointSet(rng.standard_normal((24, 3))), PointSet(rng.standard_normal((24, 3)) + 1.0)]
+    cert = generalized_ham_sandwich(sets, (4, 4))
+    axes = (np.full_like(cert.chain.axes_local[0], value),)
+    bad = dataclasses.replace(cert, chain=dataclasses.replace(cert.chain, axes_local=axes))
+    failed = {c.name for c in check_depth_certificate(bad, sets) if not c.ok}
+    assert "chain_replays_from_axes_local" in failed
+
+
+def test_empty_part_fails_without_a_warning():
+    # an empty part has no centroid; the cover check skips it and the per-set check names it
+    rng = np.random.default_rng(12)
+    sets = [PointSet(rng.standard_normal((24, 3))), PointSet(rng.standard_normal((24, 3)) + 1.0)]
+    cert = generalized_ham_sandwich(sets, (4, 4))
+    sub = dataclasses.replace(cert.per_set[0], parts=cert.per_set[0].parts + ((),))
+    bad = dataclasses.replace(cert, per_set=(sub, cert.per_set[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        failed = {c.name for c in check_depth_certificate(bad, sets) if not c.ok}
+    assert "set0_partition_certificate" in failed

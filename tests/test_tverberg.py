@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tverberg_nd import tverberg as tv
-from tverberg_nd.geom import Ball, PointSet
+from tverberg_nd.geom import PointSet
 from tverberg_nd.lifting import make_custom_graph, make_graph, quadratic_form, stats
 from tverberg_nd.oracle import enumerate_traversals
 from tverberg_nd.tverberg import (
@@ -461,9 +461,10 @@ def test_checker_flags_a_ball_smaller_than_the_guarantee():
     # every part centroid lies about 0.1 from the center, so this ball meets no part hull
     pts = PointSet(np.random.default_rng(5).standard_normal((24, 3)))
     cert = partition_nearly_balanced(pts, 5)
-    tiny = dataclasses.replace(cert, ball=Ball(cert.ball.center, 1e-6))
+    tiny = dataclasses.replace(cert, radius_guaranteed=1e-6)
+    assert tiny.ball.radius == 1e-6
     failed = [c.name for c in check_certificate(tiny, pts) if not c.ok]
-    assert failed == ["ball_radius_is_guarantee"]
+    assert failed == ["radius_within_guarantee", "guarantee_formula"]
     assert all(c.ok for c in check_certificate(cert, pts))
 
 
