@@ -24,7 +24,6 @@ from .geom import (
 )
 from .hamsandwich import (
     DepthCertificate,
-    ProjectionChain,
     align_centroids,
     check_depth_certificate,
     generalized_ham_sandwich,
@@ -77,7 +76,6 @@ __all__ = [
     "InfeasibleError",
     "LiftingGraph",
     "PointSet",
-    "ProjectionChain",
     "SizeSpec",
     "TverbergCertificate",
     "align_centroids",

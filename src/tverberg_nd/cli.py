@@ -8,8 +8,13 @@ times the partitioners over a size grid and fits the growth exponent.
 Exit codes: 0 success, 1 verification check failure, 2 input parse
 failure, 3 infeasible parameters, 4 digest mismatch.
 
-Certificates are JSON with schema tag "tverberg-nd/2" and store each
-value once. Floats are emitted with 17 significant digits so
+Certificates are JSON with schema tag "tverberg-nd/3" and store each
+value once: every key is one that verify decodes and the claim needs,
+and verify rejects a document with a key more or less (exit 2). A
+ham-sandwich document stores its frame as the translation and one
+orthonormal basis, not the chain that built it, since the depth claim
+holds for any orthonormal basis whose projected part centroids lie in
+the ball. Floats are emitted with 17 significant digits so
 parse(emit(x)) == x, and documents contain nothing run-dependent unless
 --timing is passed, so a rerun on the same input is byte-identical.
 """
@@ -35,12 +40,7 @@ from .colorful import (
     partition_colorful,
 )
 from .geom import Ball, PointSet
-from .hamsandwich import (
-    DepthCertificate,
-    ProjectionChain,
-    check_depth_certificate,
-    generalized_ham_sandwich,
-)
+from .hamsandwich import DepthCertificate, check_depth_certificate, generalized_ham_sandwich
 from .tverberg import (
     InfeasibleError,
     TverbergCertificate,
@@ -51,7 +51,7 @@ from .tverberg import (
 
 __all__ = ["ParseError", "entry", "main"]
 
-SCHEMA = "tverberg-nd/2"
+SCHEMA = "tverberg-nd/3"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -286,11 +286,7 @@ def _write_doc(doc: dict, path: str) -> None:
         fh.write(emit_document(doc))
 
 
-BOUND_NAMES = {
-    "general": "tree_lift_min_size_scaled",
-    "balanced": "star_lift_equal_sizes",
-    "nearly_balanced": "star_lift_sizes_within_one",
-}
+MODES = ("general", "balanced", "nearly_balanced")
 
 
 def _radii_doc(cert) -> dict:
@@ -302,15 +298,13 @@ def _tverberg_body(cert: TverbergCertificate) -> dict:
     return {
         "mode": cert.mode,
         "parameters": {
-            "k": cert.k,
             "sizes": list(cert.sizes),
             "arity": cert.arity,
         },
-        "parts": [list(p) for p in cert.parts],
+        "parts": cert.parts,
         "part_centroids": cert.part_centroids,
         "ball": {"center": cert.ball_center, **_radii_doc(cert)},
         "bound": {
-            "name": BOUND_NAMES[cert.mode],
             "traversal_centroid_norm": cert.traversal_centroid_norm,
             "traversal_norm_bound": cert.traversal_norm_bound,
         },
@@ -369,18 +363,21 @@ def _float(value) -> float:
 def _tverberg_from_doc(doc: dict) -> TverbergCertificate:
     """Decode the fields _tverberg_body writes.
 
-    An unknown mode, or an arity other than an integer >= 2 for general
-    sizes and null for the star modes, is a ValueError.
+    An unknown mode, sizes other than a non-empty list of integers >= 1,
+    or an arity other than an integer >= 2 for general sizes and null for
+    the star modes, is a ValueError.
     """
-    mode, arity = doc["mode"], doc["parameters"]["arity"]
-    if mode not in BOUND_NAMES:
+    mode, sizes, arity = doc["mode"], doc["parameters"]["sizes"], doc["parameters"]["arity"]
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if type(sizes) is not list or not sizes or min(_int(r) for r in sizes) < 1:
+        raise ValueError(f"sizes must be a non-empty list of integers >= 1, got {sizes!r}")
     if not ((type(arity) is int and arity >= 2) if mode == "general" else arity is None):
         raise ValueError(f"arity {arity!r} does not fit mode {mode!r}")
     ball = doc["ball"]
     return TverbergCertificate(
         mode=mode,
-        sizes=tuple(_int(r) for r in doc["parameters"]["sizes"]),
+        sizes=tuple(sizes),
         arity=arity,
         parts=tuple(tuple(_int(i) for i in part) for part in doc["parts"]),
         part_centroids=_floats(doc["part_centroids"], 2),
@@ -401,7 +398,6 @@ def _colorful_doc(cert: ColorfulCertificate, digest: str, timing_ms: float | Non
         "input_digest": digest,
         "parameters": {"n_classes": cert.n_classes, "k": cert.k},
         "shifts": list(cert.shifts),
-        "parts": [[list(pair) for pair in part] for part in cert.parts],
         "part_centroids": cert.part_centroids,
         "ball": _radii_doc(cert),
         "lifted_sum_norm": cert.lifted_sum_norm,
@@ -416,7 +412,6 @@ def _colorful_from_doc(doc: dict) -> ColorfulCertificate:
         n_classes=_int(doc["parameters"]["n_classes"]),
         k=_int(doc["parameters"]["k"]),
         shifts=tuple(_int(t) for t in doc["shifts"]),
-        parts=tuple(tuple((_int(c), _int(i)) for c, i in part) for part in doc["parts"]),
         part_centroids=_floats(doc["part_centroids"], 2),
         radius_guaranteed=_float(ball["radius_guaranteed"]),
         radius_achieved=_float(ball["radius_achieved"]),
@@ -430,15 +425,9 @@ def _hamsandwich_doc(cert: DepthCertificate, digests: list[str], timing_ms: floa
         "schema": SCHEMA,
         "command": "hamsandwich",
         "input_digest": digests,
-        "parameters": {
-            "k": len(cert.per_set),
-            "dim": int(cert.translation.shape[0]),
-            "m": list(cert.m),
-        },
+        "parameters": {"m": list(cert.m)},
         "translation": cert.translation,
-        "axes_local": [a.tolist() for a in cert.chain.axes_local],
-        "axes_ambient": cert.chain.axes_ambient,
-        "subspace_basis": cert.chain.basis,
+        "subspace_basis": cert.basis,
         "ball": {"radius": cert.radius},
         "existential_radius": cert.existential_radius,
         "depth_lower_bounds": list(cert.depth_lower_bounds),
@@ -454,15 +443,9 @@ def _hamsandwich_from_doc(doc: dict) -> DepthCertificate:
     m = tuple(_int(v) for v in doc["parameters"]["m"])
     if any(v < 1 for v in m):
         raise ValueError(f"every m entry must be at least 1, got {m}")
-    dim = _int(doc["parameters"]["dim"])
-    chain = ProjectionChain(
-        axes_local=tuple(_floats(a, 1) for a in doc["axes_local"]),
-        axes_ambient=_floats(doc["axes_ambient"], 2).reshape(-1, dim),
-        basis=_floats(doc["subspace_basis"], 2),
-    )
     return DepthCertificate(
         translation=_floats(doc["translation"], 1),
-        chain=chain,
+        basis=_floats(doc["subspace_basis"], 2),
         radius=_float(doc["ball"]["radius"]),
         m=m,
         depth_lower_bounds=tuple(_int(v) for v in doc["depth_lower_bounds"]),
@@ -476,11 +459,24 @@ def _hamsandwich_from_doc(doc: dict) -> DepthCertificate:
     )
 
 
-_DECODERS = {
-    "tverberg": _tverberg_from_doc,
-    "colorful": _colorful_from_doc,
-    "hamsandwich": _hamsandwich_from_doc,
+# command -> (encoder, decoder); verify re-encodes what it decoded to find keys outside the schema
+_CODECS = {
+    "tverberg": (_tverberg_doc, _tverberg_from_doc),
+    "colorful": (_colorful_doc, _colorful_from_doc),
+    "hamsandwich": (_hamsandwich_doc, _hamsandwich_from_doc),
 }
+
+
+def _key_paths(doc, path: str = ""):
+    """Every key path of a document; lists are entered only where they hold objects (per_set)."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            where = f"{path}.{key}" if path else key
+            yield where
+            yield from _key_paths(value, where)
+    elif isinstance(doc, list) and doc and isinstance(doc[0], dict):
+        for i, value in enumerate(doc):
+            yield from _key_paths(value, f"{path}[{i}]")
 
 
 # -------------------------------------------------------------------- SVG
@@ -656,12 +652,17 @@ def cmd_verify(args) -> int:
         print(f"digest mismatch: certificate has {stored}, input is {actual}", file=sys.stderr)
         return EXIT_DIGEST
 
-    if not isinstance(command, str) or command not in _DECODERS:
+    if not isinstance(command, str) or command not in _CODECS:
         raise ParseError(args.certificate, f"unknown command {command!r}")
+    encode, decode = _CODECS[command]
     try:
-        cert = _DECODERS[command](doc)
+        cert = decode(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(args.certificate, f"malformed certificate: {exc!r}") from exc
+    # each key the schema defines is decoded above, so any other key is one verify would not read
+    stray = set(_key_paths(doc)) ^ set(_key_paths(encode(cert, stored, None)))
+    if stray:
+        raise ParseError(args.certificate, f"keys outside schema {SCHEMA}: {sorted(stray)}")
     if command == "tverberg":
         checks = check_certificate(cert, load_points(args.inputs[0]))
     elif command == "colorful":

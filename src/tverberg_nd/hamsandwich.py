@@ -15,23 +15,26 @@ All part centroids of set i land within twice that run's radius
 guarantee of the origin (the set centroid is a weighted mean of the part
 centroids, so the part-0 centroid that anchors the run's ball lies
 within one guarantee of the origin). A ball at the origin with radius
-max_i (2 * guarantee_i) therefore contains every part centroid, and any
-halfspace containing the ball picks up at least one point from each part:
-at least ceil(|P_i| / m_i) points of every set.
+max_i (2 * guarantee_i) therefore contains every projected part centroid.
 
-Pulled back to the input space, the certified region is the product of
-that ball with the k-1 projected-out lines: DepthCertificate.contains
-only constrains the component inside the final subspace. The ball sits
-at that subspace's origin, the translation, so a certificate stores its
-radius alone.
+Pulled back to the input space, the certified region is the cylinder
+{x : |basis (x - translation)| <= radius} (DepthCertificate.contains).
+The claim holds for any row-orthonormal basis whose projected part
+centroids lie in the ball, however it was found: a halfspace containing
+the cylinder contains every line along which the cylinder extends, so
+its normal lies in the row space of basis; it then contains each part
+centroid, whose projection lies in the ball, and so at least one point
+of every part, which is at least ceil(|P_i| / m_i) points of every set.
+A certificate therefore stores the basis alone, not the chain that made
+it, and the ball sits at the origin of the subspace, the translation, so
+it stores the radius alone.
 
 The build self-checks how the pieces fit together (_frame_checks): the
 frame, the depth bounds, the radius, the ball and its cover of every
-part centroid, the set diameters and the product region. It does not
-recheck the per-set certificates, which the partitioner checked on the
-same projected arrays, nor the planar oracle depths, which are the
-oracle's own output. check_depth_certificate, the external check,
-rederives both as well.
+part centroid, and the set diameters. It does not recheck the per-set
+certificates, which the partitioner checked on the same projected
+arrays, nor the planar oracle depths, which are the oracle's own output.
+check_depth_certificate, the external check, rederives both as well.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ from .tverberg import (
 
 __all__ = [
     "DepthCertificate",
-    "ProjectionChain",
     "align_centroids",
     "check_depth_certificate",
     "generalized_ham_sandwich",
@@ -66,30 +68,7 @@ __all__ = [
 ]
 
 DEGENERATE_CENTROID_TOL = 1e-12
-DEGENERATE_DIRECTION_TOL = 1e-12
 CENTERED_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectionChain:
-    """The directions projected out, plus bases to move between frames.
-
-    axes_local[i] is the direction eliminated at step i, written in the
-    coordinates of the subspace it was found in (length shrinks by one
-    per step); the rest of the chain is replayed from it. axes_ambient
-    rows are the same directions as unit vectors of the input space;
-    they are pairwise orthogonal. basis rows are an orthonormal basis of
-    the final subspace, in input coordinates: local coordinates of y are
-    basis @ y.
-    """
-
-    axes_local: tuple[np.ndarray, ...]
-    axes_ambient: np.ndarray
-    basis: np.ndarray
-
-    @property
-    def steps(self) -> int:
-        return len(self.axes_local)
 
 
 def _householder_rows(u: np.ndarray) -> np.ndarray:
@@ -108,18 +87,6 @@ def _householder_rows(u: np.ndarray) -> np.ndarray:
     return np.delete(h, j, axis=0)
 
 
-def _chain_step(axis: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eliminate local direction axis: (its ambient unit vector, next basis).
-
-    A zero or non-finite axis is a ValueError.
-    """
-    nrm = float(np.linalg.norm(axis))
-    if not DEGENERATE_DIRECTION_TOL < nrm < math.inf:
-        raise ValueError("degenerate projection direction")
-    u = axis / nrm
-    return u @ basis, _householder_rows(u) @ basis
-
-
 def _validated_sets(sets) -> list[PointSet]:
     """At least one set, all of one dimension d, and at most d of them."""
     pts = [_as_point_set(p) for p in sets]
@@ -133,7 +100,7 @@ def _validated_sets(sets) -> list[PointSet]:
     return pts
 
 
-def align_centroids(sets) -> tuple[ProjectionChain, list[np.ndarray]]:
+def align_centroids(sets) -> tuple[np.ndarray, list[np.ndarray]]:
     """Project k sets into a (d-k+1)-dim subspace where all centroids vanish.
 
     The input must already have the first set's centroid at the origin.
@@ -141,33 +108,27 @@ def align_centroids(sets) -> tuple[ProjectionChain, list[np.ndarray]]:
     subspace (or a canonical fallback direction when that centroid
     already sits at the origin, so the dimension still drops
     deterministically). Only the k centroids pass through the chain;
-    each set is projected once, as x @ basis.T, at the end.
+    each set is projected once, as x @ basis.T, at the end. Returns the
+    (d-k+1, d) row-orthonormal basis and the projected sets: the basis
+    is all a certificate needs, since the depth claim holds for any
+    row-orthonormal basis whose projected part centroids lie in the ball.
     """
     pts = _validated_sets(sets)
-    k, d = len(pts), pts[0].dim
+    d = pts[0].dim
     scale = max(diameter_bound(p, 0)[0] for p in pts)
     scale = max(scale, float(max(np.abs(p.coords).max() for p in pts)))
     if float(np.linalg.norm(centroid(pts[0]))) > CENTERED_TOL * max(scale, 1.0):
         raise ValueError("first set must be centered at the origin")
 
     basis = np.eye(d)
-    axes_local: list[np.ndarray] = []
-    axes_ambient: list[np.ndarray] = []
     for p in pts[1:]:
         axis = basis @ centroid(p)
-        if float(np.linalg.norm(axis)) <= DEGENERATE_CENTROID_TOL * max(scale, 1.0):
-            axis = np.zeros(basis.shape[0])
-            axis[0] = 1.0  # centroids already coincide; drop a canonical direction
-        ambient, basis = _chain_step(axis, basis)
-        axes_local.append(axis)
-        axes_ambient.append(ambient)
-
-    chain = ProjectionChain(
-        axes_local=tuple(axes_local),
-        axes_ambient=np.array(axes_ambient).reshape(k - 1, d),
-        basis=basis,
-    )
-    return chain, [p.coords @ basis.T for p in pts]
+        nrm = float(np.linalg.norm(axis))
+        if nrm <= DEGENERATE_CENTROID_TOL * max(scale, 1.0):
+            # centroids already coincide; drop a canonical direction
+            axis, nrm = np.eye(basis.shape[0])[0], 1.0
+        basis = _householder_rows(axis / nrm) @ basis
+    return basis, [p.coords @ basis.T for p in pts]
 
 
 def joint_depth_ball(projected_sets, m) -> tuple[Ball, list[TverbergCertificate], tuple[int, ...]]:
@@ -198,16 +159,22 @@ def joint_depth_ball(projected_sets, m) -> tuple[Ball, list[TverbergCertificate]
 
 @dataclass(frozen=True, eq=False)
 class DepthCertificate:
-    """Joint depth ball, its construction trace, and per-set witnesses.
+    """Joint depth ball, its frame, and per-set witnesses.
 
+    basis rows are an orthonormal basis of the final subspace, in input
+    coordinates: local coordinates of x are basis @ (x - translation).
     per_set holds one partition certificate per input set, built on the
-    set's projection (x - translation) @ chain.basis.T into the final
-    subspace (rows indexed as in the input sets). depth_lower_bounds[i] =
-    ceil(|P_i| / m[i]) is the number of parts, hence the minimum point
-    count of set i in any halfspace containing the product region (see
-    contains). radius is the radius of the ball, which sits at the origin
-    of the final subspace; ball, constructive_radius and
+    set's projection (x - translation) @ basis.T (rows indexed as in the
+    input sets). radius is the radius of the ball, which sits at the
+    origin of the final subspace; ball, constructive_radius and
     ball_center_ambient (the translation) are derived from it.
+    depth_lower_bounds[i] = ceil(|P_i| / m[i]) is the number of parts,
+    hence the minimum point count of set i in any halfspace containing
+    the region {x : |basis (x - translation)| <= radius} (see contains).
+    That holds for any row-orthonormal basis whose projected part
+    centroids lie in the ball: the normal of such a halfspace lies in
+    the row space of basis, so the halfspace contains every part
+    centroid and therefore a point of every part.
     existential_radius = (2 + 2*sqrt(2)) * max_i diam(P_i)/sqrt(m_i) is
     the smaller non-constructive target it replaces, reported for
     comparison only. oracle_depths holds the exact planar depth of the
@@ -215,7 +182,7 @@ class DepthCertificate:
     """
 
     translation: np.ndarray
-    chain: ProjectionChain
+    basis: np.ndarray
     radius: float
     m: tuple[int, ...]
     depth_lower_bounds: tuple[int, ...]
@@ -228,7 +195,7 @@ class DepthCertificate:
     @property
     def ball(self) -> Ball:
         """The certified ball in the final subspace's coordinates."""
-        return Ball(np.zeros(self.chain.basis.shape[0]), self.radius)
+        return Ball(np.zeros(self.basis.shape[0]), self.radius)
 
     @property
     def constructive_radius(self) -> float:
@@ -239,12 +206,12 @@ class DepthCertificate:
         return self.translation
 
     def contains(self, x, tol: float = 1e-9) -> bool:
-        """Membership in the product region: the ball times the projected-out lines.
+        """Membership in the certified region: the ball times the projected-out lines.
 
         Only the component of x - translation inside the final subspace
         is constrained; components along the eliminated lines are free.
         """
-        z = self.chain.basis @ (np.asarray(x, dtype=np.float64) - self.translation)
+        z = self.basis @ (np.asarray(x, dtype=np.float64) - self.translation)
         return float(np.linalg.norm(z)) <= self.radius + tol
 
 
@@ -254,7 +221,7 @@ def generalized_ham_sandwich(sets, m) -> DepthCertificate:
     m = tuple(int(v) for v in m)
 
     t = centroid(pts[0])
-    chain, projected = align_centroids([p.coords - t for p in pts])
+    basis, projected = align_centroids([p.coords - t for p in pts])
     ball, per_set, depths = joint_depth_ball(projected, m)
 
     diams = [diameter_bound(p) for p in pts]
@@ -267,7 +234,7 @@ def generalized_ham_sandwich(sets, m) -> DepthCertificate:
 
     cert = DepthCertificate(
         translation=t,
-        chain=chain,
+        basis=basis,
         radius=ball.radius,
         m=m,
         depth_lower_bounds=depths,
@@ -281,51 +248,35 @@ def generalized_ham_sandwich(sets, m) -> DepthCertificate:
     return cert
 
 
-def _replay_error(chain: ProjectionChain, d: int) -> float:
-    """Largest entrywise gap between the stored frame and the chain replayed from axes_local.
-
-    The replay runs the build's own elimination steps; inf when a stored
-    axis cannot match in shape or cannot be normalized. The caller has
-    checked the shapes of axes_ambient and the basis.
-    """
-    basis, errs = np.eye(d), []
-    for axis, ambient in zip(chain.axes_local, chain.axes_ambient):
-        if axis.shape != (basis.shape[0],):
-            return math.inf
-        try:
-            replayed_ambient, basis = _chain_step(axis, basis)
-        except ValueError:  # a zero or non-finite axis
-            return math.inf
-        errs.append(np.abs(replayed_ambient - ambient).max())
-    errs.append(np.abs(basis - chain.basis).max(initial=0.0))
-    return float(np.max(errs))
-
-
 def _frame_checks(cert: DepthCertificate, pts: list[PointSet]) -> tuple[_Checks, list | None]:
     """Check how the pieces of a depth certificate fit together, from the raw sets.
 
-    Covers the shapes, the translation, the basis and axes, the chain
-    replay, the projected centroids, the depth bounds, the radius and the
-    ball's cover of every part centroid, the set diameters, the
-    existential radius and the product region. The per-set
-    certificates themselves are not rechecked. Returns the checks and
-    the sets projected by the certificate's own frame, (x - translation)
-    @ basis.T, or None when the stored arrays do not fit the input's
-    shapes, since nothing else is then well defined.
+    Covers the shapes, the translation, the basis, the projected
+    centroids, the depth bounds, the radius and the ball's cover of
+    every part centroid, the set diameters and the existential radius.
+    The depth claim needs no more of the frame than an orthonormal basis
+    whose projected part centroids lie in the ball: a halfspace
+    containing {x : |basis (x - translation)| <= radius} has its normal
+    in the row space of basis, so it contains every part centroid and a
+    point of every part. How the basis was found is not checked. The
+    per-set certificates themselves are not rechecked. Returns the
+    checks and the sets projected by the certificate's own frame,
+    (x - translation) @ basis.T, or None when the stored arrays do not
+    fit the input's shapes or the basis is not orthonormal, since
+    nothing else is then well defined.
     """
     checks = _Checks()
     k = len(pts)
     d = pts[0].dim if pts else 0
     scale = max([1.0] + [float(np.abs(p.coords).max(initial=0.0)) for p in pts])
-    basis, axes, sub_dim = cert.chain.basis, cert.chain.axes_ambient, d - (k - 1)
+    basis, sub_dim = cert.basis, d - (k - 1)
 
     checks.add("set_count_at_most_dim", 1 <= k <= d, f"k={k} d={d}")
     per_set = (cert.per_set, cert.m, cert.depth_lower_bounds, cert.set_diameters, cert.set_diameters_exact)
-    lengths = [len(v) for v in per_set] + [cert.chain.steps + 1]
-    shapes = [a.shape for a in (cert.translation, basis, axes)]
-    shapes_ok = lengths == [k] * 6 and shapes == [(d,), (sub_dim, d), (k - 1, d)]
+    lengths = [len(v) for v in per_set]
+    shapes = [a.shape for a in (cert.translation, basis)]
+    shapes_ok = lengths == [k] * 5 and shapes == [(d,), (sub_dim, d)]
     checks.add("shapes_consistent", shapes_ok, f"k={k} d={d}: lengths {lengths}, shapes {shapes}")
-    checks.add("basis_shape", basis.shape == (sub_dim, d), f"shape {basis.shape}")
     if not shapes_ok:
         return checks, None
 
@@ -333,13 +284,8 @@ def _frame_checks(cert: DepthCertificate, pts: list[PointSet]) -> tuple[_Checks,
     checks.close("translation_is_first_centroid", t_err, 0.0, scale)
     gram_err = float(np.abs(basis @ basis.T - np.eye(sub_dim)).max())
     checks.add("basis_orthonormal", gram_err <= 1e-9, f"err {gram_err:.3e}")
-    if k > 1:
-        ax_err = float(np.abs(axes @ axes.T - np.eye(k - 1)).max())
-        checks.add("axes_orthonormal", ax_err <= 1e-9, f"err {ax_err:.3e}")
-        cross = float(np.abs(basis @ axes.T).max())
-        checks.add("axes_orthogonal_to_basis", cross <= 1e-9, f"err {cross:.3e}")
-    replay_err = _replay_error(cert.chain, d)
-    checks.add("chain_replays_from_axes_local", replay_err <= 1e-9, f"err {replay_err:.3e}")
+    if not gram_err <= 1e-9:  # also NaN: the rows are then no frame to measure the ball in
+        return checks, None
 
     projected = [(p.coords - cert.translation) @ basis.T for p in pts]
     cent_err = max(float(np.linalg.norm(q.mean(axis=0))) for q in projected)
@@ -376,14 +322,6 @@ def _frame_checks(cert: DepthCertificate, pts: list[PointSet]) -> tuple[_Checks,
         sv / math.sqrt(mi) for sv, mi in zip(cert.set_diameters, cert.m)
     )
     checks.close("existential_radius_formula", existential, cert.existential_radius, existential)
-
-    member = cert.contains(cert.translation)
-    along_lines = True
-    for j in range(cert.chain.steps):
-        along_lines = along_lines and cert.contains(
-            cert.translation + (1.0 + scale) * cert.chain.axes_ambient[j]
-        )
-    checks.add("product_contains_center_and_lines", member and along_lines)
     return checks, projected
 
 

@@ -143,11 +143,6 @@ class _TraversalState:
     def objectives(self, coef_n: float, coef_r: float, w: np.ndarray) -> np.ndarray:
         return coef_n * self.deg + coef_r * self.quota_bal + self.sum_bal @ w
 
-    def weighted_average(self, coef_n: float, coef_r: float, w: np.ndarray) -> float:
-        """Quota-weighted class average; equals the pre-choice expectation."""
-        q = self.quota.astype(np.float64)
-        return float(q @ self.objectives(coef_n, coef_r, w)) / float(q.sum())
-
     def apply(self, i: int, p: np.ndarray) -> None:
         self.quota[i] -= 1
         two_p = 2.0 * p

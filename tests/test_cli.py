@@ -96,46 +96,135 @@ def test_hamsandwich_document_round_trip():
 
 _BODY_KEYS = {"mode", "parameters", "parts", "part_centroids", "ball", "bound", "diameter_used", "diameter_exact"}
 _TVERBERG_BALL_KEYS = {"center", "radius_guaranteed", "radius_achieved"}
+_TVERBERG_PARAMETER_KEYS = {"sizes", "arity"}
 
 
 @pytest.mark.parametrize(
-    "kind, keys, ball_keys",
+    "kind, keys, ball_keys, parameter_keys",
     [
-        ("tverberg", _BODY_KEYS, _TVERBERG_BALL_KEYS),
+        ("balanced", _BODY_KEYS, _TVERBERG_BALL_KEYS, _TVERBERG_PARAMETER_KEYS),
         (
             "colorful",
-            {"parameters", "shifts", "parts", "part_centroids", "ball", "lifted_sum_norm", "max_class_diameter"},
+            {"parameters", "shifts", "part_centroids", "ball", "lifted_sum_norm", "max_class_diameter"},
             {"radius_guaranteed", "radius_achieved"},
+            {"n_classes", "k"},
         ),
         (
-            "hamsandwich",
+            "hamsandwich_d3",
             {
-                "parameters", "translation", "axes_local", "axes_ambient", "subspace_basis", "ball",
-                "existential_radius", "depth_lower_bounds", "set_diameters", "set_diameters_exact",
-                "oracle_depths", "per_set",
+                "parameters", "translation", "subspace_basis", "ball", "existential_radius",
+                "depth_lower_bounds", "set_diameters", "set_diameters_exact", "oracle_depths", "per_set",
             },
             {"radius"},
+            {"m"},
         ),
     ],
     ids=["tverberg", "colorful", "hamsandwich"],
 )
-def test_document_keys_are_the_schema(tmp_path, kind, keys, ball_keys):
+def test_document_keys_are_the_schema(tmp_path, kind, keys, ball_keys, parameter_keys):
     # each stored value is a source: a key restating another would need its own decode step and check
+    doc, _ = _document(tmp_path, kind)
+    assert doc["schema"] == "tverberg-nd/3"
+    assert set(doc) == {"schema", "command", "input_digest", "timing_ms"} | keys
+    assert set(doc["ball"]) == ball_keys and set(doc["parameters"]) == parameter_keys
+    for sub in doc.get("per_set", []):
+        assert set(sub) == _BODY_KEYS and set(sub["ball"]) == _TVERBERG_BALL_KEYS
+        assert set(sub["parameters"]) == _TVERBERG_PARAMETER_KEYS
+    for body in [doc] if kind == "balanced" else doc.get("per_set", []):
+        assert set(body["bound"]) == {"traversal_centroid_norm", "traversal_norm_bound"}
+
+
+def _document(tmp_path, kind):
+    """A CLI document of one kind and the input files it verifies against."""
     data, out = tmp_path / "in", tmp_path / "c.json"
-    if kind == "tverberg":
-        cli.main(["gen", "--n", "40", "--d", "3", "--seed", "1", "--out", str(data)])
-        cli.main(["tverberg", str(data), "--k", "4", "--out", str(out)])
-    elif kind == "colorful":
+    if kind.startswith("hamsandwich"):
+        out, inputs = _hamsandwich_run(tmp_path, 60, kind[-1])
+        return json.loads(out.read_text()), inputs
+    if kind == "colorful":
         cli.main(["gen", "--classes", "3", "--k", "4", "--d", "3", "--seed", "1", "--out", str(data)])
         cli.main(["colorful", str(data), "--out", str(out)])
     else:
-        out, _ = _hamsandwich_run(tmp_path, 60)
-    doc = json.loads(out.read_text())
-    assert doc["schema"] == "tverberg-nd/2" and doc["command"] == kind
-    assert set(doc) == {"schema", "command", "input_digest", "timing_ms"} | keys
-    assert set(doc["ball"]) == ball_keys
-    for sub in doc.get("per_set", []):
-        assert set(sub) == _BODY_KEYS and set(sub["ball"]) == _TVERBERG_BALL_KEYS
+        cli.main(["gen", "--n", "42", "--d", "3", "--seed", "1", "--out", str(data)])
+        params = {"balanced": ["--k", "6"], "nearly_balanced": ["--k", "4"], "general": ["--sizes", "20,12,10"]}
+        cli.main(["tverberg", str(data), *params[kind], "--out", str(out)])
+        assert json.loads(out.read_text())["mode"] == kind
+    return json.loads(out.read_text()), [str(data)]
+
+
+def _doc_key_paths(value, path=()):
+    """The path of every key of a document, entering lists of objects."""
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield path + (key,)
+            yield from _doc_key_paths(sub, path + (key,))
+    elif isinstance(value, list):
+        for i, sub in enumerate(value):
+            if isinstance(sub, dict):
+                yield from _doc_key_paths(sub, path + (i,))
+
+
+def _perturb_first_leaf(doc, path):
+    """Change the first scalar under path: +1 to a number, flip a bool, append "x" to a string, null to 0."""
+    holder = doc
+    for step in path[:-1]:
+        holder = holder[step]
+    key = path[-1]
+    while isinstance(holder[key], (dict, list)):
+        inner = holder[key]
+        holder, key = inner, (next(iter(inner)) if isinstance(inner, dict) else 0)
+    leaf = holder[key]
+    if leaf is None:
+        holder[key] = 0
+    elif isinstance(leaf, bool):
+        holder[key] = not leaf
+    elif isinstance(leaf, str):
+        holder[key] = leaf + "x"
+    else:
+        holder[key] = leaf + 1
+
+
+@pytest.mark.parametrize(
+    "kind", ["balanced", "nearly_balanced", "general", "colorful", "hamsandwich_d3", "hamsandwich_d2"]
+)
+def test_every_key_is_read(tmp_path, capsys, kind):
+    # a key whose value verify ignores could hold anything: perturbing any stored value must fail verify
+    doc, inputs = _document(tmp_path, kind)
+    bad = tmp_path / "bad.json"
+    passed = []
+    for path in _doc_key_paths(doc):
+        if path == ("timing_ms",):
+            continue
+        edited = json.loads(json.dumps(doc))
+        _perturb_first_leaf(edited, path)
+        bad.write_bytes(cli.emit_document(edited))
+        if cli.main(["verify", str(bad), *inputs]) == cli.EXIT_OK:
+            passed.append(path)
+    capsys.readouterr()
+    assert passed == []
+
+
+_EXTRA_KEYS = {
+    "colorful_extra": ("colorful", lambda doc: doc.update(extra=1)),
+    "colorful_parts": ("colorful", lambda doc: doc.update(parts=[[[c, 0] for c in range(3)]])),
+    "axes_local": ("hamsandwich_d3", lambda doc: doc.update(axes_local=[[1.0, 0.0, 0.0]])),
+    "parameters_k": ("nearly_balanced", lambda doc: doc["parameters"].update(k=4)),
+    "bound_name": ("general", lambda doc: doc["bound"].update(name="tree_lift_min_size_scaled")),
+    "per_set_parameters_k": ("hamsandwich_d3", lambda doc: doc["per_set"][1]["parameters"].update(k=10)),
+    "timing_missing": ("balanced", lambda doc: doc.pop("timing_ms")),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXTRA_KEYS))
+def test_key_outside_the_schema_exits_parse(tmp_path, capsys, case):
+    # a key of an earlier schema, or one no schema defines, is not silently ignored
+    kind, edit = _EXTRA_KEYS[case]
+    doc, inputs = _document(tmp_path, kind)
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(cli.emit_document(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(bad), *inputs]) == cli.EXIT_PARSE
+    assert "keys outside schema tverberg-nd/3" in capsys.readouterr().err
 
 
 def test_float_emission_is_lossless():
@@ -217,11 +306,11 @@ def test_colorful_run_verify_and_ragged_classes(tmp_path):
     assert cli.main(["colorful", str(flat), "--out", str(out)]) == cli.EXIT_INFEASIBLE
 
 
-def _hamsandwich_run(tmp_path, n):
+def _hamsandwich_run(tmp_path, n, d="3"):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    cli.main(["gen", "--n", str(n), "--d", "3", "--seed", "7", "--out", str(a)])
-    cli.main(["gen", "--n", str(n), "--d", "3", "--seed", "8", "--out", str(b)])
+    cli.main(["gen", "--n", str(n), "--d", d, "--seed", "7", "--out", str(a)])
+    cli.main(["gen", "--n", str(n), "--d", d, "--seed", "8", "--out", str(b)])
     out = tmp_path / "hs.json"
     assert cli.main(["hamsandwich", str(a), str(b), "--m", "6,6", "--out", str(out)]) == 0
     return out, [str(a), str(b)]
@@ -263,7 +352,8 @@ def test_verify_digest_and_tamper_exit_codes(tmp_path, capsys):
     assert cli.main(["verify", str(tampered), str(data)]) == cli.EXIT_CHECK_FAILED
     assert "FAIL radius_achieved_matches" in capsys.readouterr().out
 
-    for schema in ("tverberg-nd/999", "tverberg-nd/1"):  # unknown, and the first schema, which stored copies
+    # unknown, and the earlier schemas: /1 stored copies, /2 the projection chain and keys verify never read
+    for schema in ("tverberg-nd/999", "tverberg-nd/2", "tverberg-nd/1"):
         fresh = {**json.loads(out.read_text()), "schema": schema}
         tampered.write_bytes(cli.emit_document(fresh))
         assert cli.main(["verify", str(tampered), str(data)]) == cli.EXIT_PARSE
@@ -298,7 +388,7 @@ def test_verify_digest_and_tamper_exit_codes(tmp_path, capsys):
         "sizes_bool",
         "part_index_fractional",
         "shift_fractional",
-        "colorful_part_index_string",
+        "shift_string",
         "points_string",
         "points_bool",
         "points_bool_among_numbers",
@@ -315,6 +405,9 @@ def test_verify_digest_and_tamper_exit_codes(tmp_path, capsys):
         "diameter_exact_string",
         "diameter_exact_int",
         "radius_nan",
+        "sizes_empty",
+        "sizes_object",
+        "sizes_zero",
     ],
 )
 def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
@@ -360,10 +453,13 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
         bad.write_text('{"classes": [[["1", "2"]], [["3", "4"]]]}')
     elif case == "classes_bool":
         bad.write_text('{"classes": [[[0.5, 2.0], [true, 1.0]], [[3.0, 4.0], [5.0, 6.0]]]}')
-    elif case == "arity_too_small":
+    elif case in ("arity_too_small", "sizes_empty", "sizes_object", "sizes_zero"):
         cli.main(["tverberg", str(data), "--sizes", "5,6,6,7", "--out", str(out)])
         gdoc = json.loads(out.read_text())
-        gdoc["parameters"]["arity"] = 1
+        if case == "arity_too_small":
+            gdoc["parameters"]["arity"] = 1
+        else:
+            gdoc["parameters"]["sizes"] = {"sizes_empty": [], "sizes_object": {}, "sizes_zero": [0, 6, 6, 12]}[case]
         bad.write_bytes(cli.emit_document(gdoc))
         argvs[case] = ["verify", str(bad), str(data)]
     elif case in ("per_set_mode_unknown", "m_zero", "m_negative", "m_fractional", "m_string", "dim_bool"):
@@ -372,13 +468,13 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
         if case == "per_set_mode_unknown":
             hdoc["per_set"][0]["mode"] = "nosuch"
         elif case == "dim_bool":
-            hdoc["parameters"]["dim"] = True
+            hdoc["parameters"]["dim"] = True  # a key of schema /2 that /3 does not define
         else:
             # the true m is 6, which int() would read off 6.9 and "6" alike
             hdoc["parameters"]["m"][0] = {"m_zero": 0, "m_negative": -6, "m_fractional": 6.9, "m_string": "6"}[case]
         bad.write_bytes(cli.emit_document(hdoc))
         argvs[case] = ["verify", str(bad), *inputs]
-    elif case in ("shift_fractional", "colorful_part_index_string"):
+    elif case in ("shift_fractional", "shift_string"):
         classes = tmp_path / "classes.json"
         cli.main(["gen", "--classes", "3", "--k", "4", "--d", "2", "--seed", "1", "--out", str(classes)])
         cli.main(["colorful", str(classes), "--out", str(out)])
@@ -386,7 +482,7 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
         if case == "shift_fractional":
             cdoc["shifts"][0] += 0.5
         else:
-            cdoc["parts"][0][0][1] = str(cdoc["parts"][0][0][1])
+            cdoc["shifts"][0] = str(cdoc["shifts"][0])
         bad.write_bytes(cli.emit_document(cdoc))
         argvs[case] = ["verify", str(bad), str(classes)]
     elif case == "csv_separators_only":
@@ -529,18 +625,25 @@ def test_wrong_length_ball_center_fails_named_check(tmp_path, capsys, kind, chec
     assert "FAIL radius_achieved_matches" in captured.out
 
 
+# each row of subspace_basis is one axis of the frame the ball lives in (d=3, k=2: two rows)
+
+
 def _tilt_axis(doc):
-    doc["axes_local"][0][0] += 0.5
+    doc["subspace_basis"][0][0] += 0.5
 
 
 def _swap_line(doc):
-    # swap two entries of the first eliminated axis, which spans the first projected-out line
-    axis = doc["axes_local"][0]
-    axis[0], axis[1] = axis[1], axis[0]
+    # still an orthonormal basis of the same subspace, but the per-set parts were split in the other frame
+    basis = doc["subspace_basis"]
+    basis[0], basis[1] = basis[1], basis[0]
 
 
-@pytest.mark.parametrize("edit", [_tilt_axis, _swap_line], ids=lambda f: f.__name__.lstrip("_"))
-def test_tampered_chain_fails_verify(tmp_path, capsys, edit):
+@pytest.mark.parametrize(
+    "edit, check",
+    [(_tilt_axis, "basis_orthonormal"), (_swap_line, "set0_partition_certificate")],
+    ids=["tilt_axis", "swap_line"],
+)
+def test_tampered_chain_fails_verify(tmp_path, capsys, edit, check):
     out, inputs = _hamsandwich_run(tmp_path, 60)
     doc = json.loads(out.read_text())
     edit(doc)
@@ -548,7 +651,7 @@ def test_tampered_chain_fails_verify(tmp_path, capsys, edit):
     bad.write_bytes(cli.emit_document(doc))
     capsys.readouterr()
     assert cli.main(["verify", str(bad), *inputs]) == cli.EXIT_CHECK_FAILED
-    assert "FAIL chain_replays_from_axes_local" in capsys.readouterr().out
+    assert f"FAIL {check}" in capsys.readouterr().out
 
 
 def _halve_radius(doc):
@@ -601,7 +704,7 @@ def _cut_set_diameters(doc):
 
 _MISSHAPEN_FRAMES = {
     "basis_one_row": lambda doc: doc.update(subspace_basis=doc["subspace_basis"][:1]),
-    "axes_ambient_row_cut": lambda doc: doc.update(axes_ambient=doc["axes_ambient"][:-1]),
+    "basis_column_cut": lambda doc: doc.update(subspace_basis=[row[:-1] for row in doc["subspace_basis"]]),
     "translation_too_short": lambda doc: doc.update(translation=doc["translation"][:2]),
     "m_one_entry": lambda doc: doc["parameters"].update(m=doc["parameters"]["m"][:1]),
     "set_diameters_cut": _cut_set_diameters,
@@ -687,4 +790,4 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert run.returncode == 0
     assert "radius_guaranteed" in run.stdout
-    assert json.loads(out.read_text())["schema"] == "tverberg-nd/2"
+    assert json.loads(out.read_text())["schema"] == "tverberg-nd/3"

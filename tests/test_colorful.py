@@ -185,10 +185,11 @@ def test_checker_flags_tampering():
     names = {c.name for c in check_colorful_certificate(shrunk, inst) if not c.ok}
     assert "guarantee_formula" in names
 
+    # rotating every shift moves each part onto the next node, away from its stored centroid
     rotated = tuple((t + 1) % cert.k for t in cert.shifts)
     moved = dataclasses.replace(cert, shifts=rotated)
     names = {c.name for c in check_colorful_certificate(moved, inst) if not c.ok}
-    assert "parts_match_shifts" in names
+    assert "part_centroids_match" in names
 
     off = dataclasses.replace(cert, part_centroids=cert.part_centroids + 1.0)
     names = {c.name for c in check_colorful_certificate(off, inst) if not c.ok}

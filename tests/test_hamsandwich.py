@@ -38,17 +38,17 @@ def test_align_centroids_rejects_too_many_sets():
 def test_align_centroids_zeroes_every_centroid():
     rng = np.random.default_rng(2)
     sets = [_centered(rng, 12, 5), rng.standard_normal((9, 5)), rng.standard_normal((7, 5))]
-    chain, projected = align_centroids(sets)
-    assert chain.steps == 2
+    basis, projected = align_centroids(sets)
+    assert basis.shape == (3, 5)
     assert all(q.shape[1] == 3 for q in projected)
     for q in projected:
         assert float(np.linalg.norm(q.mean(axis=0))) <= 1e-9
-    # frame consistency: basis orthonormal, axes orthonormal, mutually orthogonal
-    assert np.abs(chain.basis @ chain.basis.T - np.eye(3)).max() <= 1e-12
-    assert np.abs(chain.axes_ambient @ chain.axes_ambient.T - np.eye(2)).max() <= 1e-12
-    assert np.abs(chain.basis @ chain.axes_ambient.T).max() <= 1e-12
+    # the basis is orthonormal and orthogonal to both centroid directions it eliminated
+    assert np.abs(basis @ basis.T - np.eye(3)).max() <= 1e-12
+    assert np.abs(basis @ sets[1].mean(axis=0)).max() <= 1e-12
+    assert np.abs(basis @ sets[2].mean(axis=0)).max() <= 1e-12
     # projection reproduces the emitted local coordinates
-    direct = (sets[0] - 0.0) @ chain.basis.T
+    direct = (sets[0] - 0.0) @ basis.T
     assert np.allclose(direct, projected[0], atol=1e-9)
 
 
@@ -77,11 +77,11 @@ def _iterated_projection(sets):
 def test_centroid_chain_matches_iterated_projection(seed, k, n, d):
     sets = _offset_sets(seed, k, n, d)
     translated = [x - sets[0].mean(axis=0) for x in sets]
-    chain, projected = align_centroids(translated)
-    basis, iterated = _iterated_projection(translated)
-    assert np.abs(chain.basis - basis).max() <= 1e-12
+    basis, projected = align_centroids(translated)
+    reference, iterated = _iterated_projection(translated)
+    assert np.abs(basis - reference).max() <= 1e-12
     for x, q, r in zip(translated, projected, iterated):
-        assert np.array_equal(q, x @ chain.basis.T)
+        assert np.array_equal(q, x @ basis.T)
         assert np.abs(q - r).max() <= 1e-11  # entries stay below 10 in magnitude
 
 
@@ -90,7 +90,7 @@ def test_per_set_certificates_rebuild_on_checker_projection(seed, k, n, d):
     sets = _offset_sets(seed, k, n, d)
     cert = generalized_ham_sandwich(sets, (5,) * k)
     for x, sub in zip(sets, cert.per_set):
-        rebuilt = partition_nearly_balanced((x - cert.translation) @ cert.chain.basis.T, sub.k)
+        rebuilt = partition_nearly_balanced((x - cert.translation) @ cert.basis.T, sub.k)
         assert rebuilt.parts == sub.parts
         assert np.array_equal(rebuilt.part_centroids, sub.part_centroids)
 
@@ -98,8 +98,8 @@ def test_per_set_certificates_rebuild_on_checker_projection(seed, k, n, d):
 def test_align_centroids_degenerate_fallback():
     # both centroids already at the origin: a canonical axis is dropped
     base = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
-    chain, projected = align_centroids([base, base.copy()])
-    assert chain.steps == 1
+    basis, projected = align_centroids([base, base.copy()])
+    assert basis.shape == (2, 3)
     assert projected[0].shape == (4, 2)
     assert float(np.linalg.norm(projected[1].mean(axis=0))) <= 1e-12
 
@@ -131,12 +131,13 @@ def test_product_set_membership():
     p1 = rng.standard_normal((20, 3)) + np.array([1.0, 2.0, 3.0])
     p2 = rng.standard_normal((20, 3)) + np.array([0.0, 0.0, 4.0])
     cert = generalized_ham_sandwich([p1, p2], (4, 4))
-    center = cert.translation + cert.ball.center @ cert.chain.basis
+    center = cert.translation + cert.ball.center @ cert.basis
     assert cert.contains(center)
     # sliding any distance along an eliminated axis never leaves the set
-    assert cert.contains(center + 1e6 * cert.chain.axes_ambient[0])
+    eliminated = np.linalg.svd(cert.basis)[2][-1]  # the unit vector orthogonal to both basis rows
+    assert cert.contains(center + 1e6 * eliminated)
     # stepping past the radius inside the subspace does
-    assert not cert.contains(center + (cert.ball.radius + 0.5) * cert.chain.basis[0])
+    assert not cert.contains(center + (cert.ball.radius + 0.5) * cert.basis[0])
 
 
 def test_full_pipeline_two_sets_in_3d():
@@ -178,7 +179,7 @@ def test_pipeline_deterministic():
     sets = [rng.standard_normal((30, 4)), rng.standard_normal((25, 4)) - 1.0]
     a = generalized_ham_sandwich(sets, (5, 5))
     b = generalized_ham_sandwich(sets, (5, 5))
-    assert np.array_equal(a.chain.basis, b.chain.basis)
+    assert np.array_equal(a.basis, b.basis)
     assert np.array_equal(a.ball_center_ambient, b.ball_center_ambient)
     assert a.ball.radius == b.ball.radius
     assert all(x.parts == y.parts for x, y in zip(a.per_set, b.per_set))
@@ -203,15 +204,16 @@ def test_checker_flags_tampering():
 
 
 @pytest.mark.parametrize("value", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
-def test_degenerate_axis_fails_the_replay(value):
-    # the replay normalizes each stored axis; one it cannot normalize fails the check, not the run
+def test_degenerate_basis_row_fails_orthonormality(value):
+    # a basis row that is not a unit vector fails the check, not the run
     rng = np.random.default_rng(11)
     sets = [PointSet(rng.standard_normal((24, 3))), PointSet(rng.standard_normal((24, 3)) + 1.0)]
     cert = generalized_ham_sandwich(sets, (4, 4))
-    axes = (np.full_like(cert.chain.axes_local[0], value),)
-    bad = dataclasses.replace(cert, chain=dataclasses.replace(cert.chain, axes_local=axes))
-    failed = {c.name for c in check_depth_certificate(bad, sets) if not c.ok}
-    assert "chain_replays_from_axes_local" in failed
+    basis = cert.basis.copy()
+    basis[0] = value
+    with np.errstate(invalid="ignore"):  # inf times a zero in the Gram matrix
+        checks = check_depth_certificate(dataclasses.replace(cert, basis=basis), sets)
+    assert [c.name for c in checks if not c.ok] == ["basis_orthonormal"]
 
 
 def test_empty_part_fails_without_a_warning():
