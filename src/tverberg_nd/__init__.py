@@ -51,7 +51,6 @@ from .tverberg import (
     CertificateError,
     CheckResult,
     InfeasibleError,
-    SizeSpec,
     TverbergCertificate,
     check_certificate,
     partition_balanced,
@@ -76,7 +75,6 @@ __all__ = [
     "InfeasibleError",
     "LiftingGraph",
     "PointSet",
-    "SizeSpec",
     "TverbergCertificate",
     "align_centroids",
     "centroid",

@@ -12,7 +12,7 @@ Certificates are JSON with schema tag "tverberg-nd/3" and store each
 value once: every key is one that verify decodes and the claim needs,
 and verify rejects a document with a key more or less (exit 2). A
 ham-sandwich document stores its frame as the translation and one
-orthonormal basis, not the chain that built it, since the depth claim
+orthonormal basis, not how it was found, since the depth claim
 holds for any orthonormal basis whose projected part centroids lie in
 the ball. Floats are emitted with 17 significant digits so
 parse(emit(x)) == x, and documents contain nothing run-dependent unless
@@ -199,23 +199,31 @@ def _load_csv_lines(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
+def _json_array(path: str, key: str, depth: int) -> np.ndarray:
+    """The "key" array of a JSON input, decoded by _floats, with its optional "dim" checked.
+
+    Overflow, a non-number, a non-finite value and a ragged or deeper
+    list are a ParseError. A list nested less deeply stays the TypeError
+    of _floats, for the caller to word.
+    """
+    doc = _load_json(path)
+    if not isinstance(doc, dict) or key not in doc:
+        raise ParseError(path, f'expected an object with a "{key}" array')
+    try:
+        arr = _floats(doc[key], depth)
+    except ValueError as exc:
+        raise ParseError(path, f"{key} must be lists of finite JSON numbers: {exc}") from None
+    _check_dim(path, doc, arr.shape[-1])
+    return arr
+
+
 def load_points(path: str) -> PointSet:
     """Read a point set from CSV (one row per point) or JSON."""
     if _looks_like_json(path):
-        doc = _load_json(path)
-        if not isinstance(doc, dict) or "points" not in doc:
-            raise ParseError(path, 'expected an object with a "points" array')
         try:
-            arr = np.asarray(doc["points"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(path, f"points are not rectangular numbers: {exc}") from exc
-        if arr.ndim != 2:
-            raise ParseError(path, "points must form a 2-d array")
-        if not _only_numbers(doc["points"], 2):
-            raise ParseError(path, "point coordinates must be JSON numbers")
-        _check_dim(path, doc, arr.shape[1])
-        if not np.isfinite(arr).all():
-            raise ParseError(path, "points must be finite")
+            arr = _json_array(path, "points", 2)
+        except TypeError:
+            raise ParseError(path, "points must form a 2-d array") from None
         return PointSet(arr)
     arr = _load_csv_fast(path)
     return PointSet(_load_csv_lines(path) if arr is None else arr)
@@ -225,20 +233,10 @@ def load_classes(path: str) -> ColorInstance:
     """Read a colorful instance: JSON with a "classes" array of point lists."""
     if not _looks_like_json(path):
         raise ParseError(path, 'colorful input must be JSON with a "classes" array')
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or "classes" not in doc:
-        raise ParseError(path, 'expected an object with a "classes" array')
     try:
-        arr = np.asarray(doc["classes"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(path, f"classes are not rectangular: {exc}") from exc
-    if arr.ndim != 3:
-        raise InfeasibleError("every class needs the same number of points")
-    if not _only_numbers(doc["classes"], 3):
-        raise ParseError(path, "point coordinates must be JSON numbers")
-    _check_dim(path, doc, arr.shape[2])
-    if not np.isfinite(arr).all():
-        raise ParseError(path, "points must be finite")
+        arr = _json_array(path, "classes", 3)
+    except TypeError:
+        raise InfeasibleError("every class needs the same number of points") from None
     return ColorInstance(arr)
 
 

@@ -1,12 +1,13 @@
-"""Common depth balls for several point sets via a centroid projection chain.
+"""Common depth balls for several point sets via one centroid-free subspace.
 
 Given k point sets in d dimensions with k <= d, the construction
 translates everything so the first set's centroid sits at the origin.
-Projection is linear, so only the k centroids pass through the chain:
-step i writes set i's centroid in the current subspace's coordinates and
-removes its direction with a Householder step. After k-1 steps the
-orthonormal rows of `basis` span a (d-k+1)-dimensional subspace in which
-every centroid vanishes. Each set is then projected once, as
+Projection is linear, so only the k centroids decide the subspace: one
+complete QR factorization C = QR of the d x (k-1) matrix C of the other
+centroids gives `basis`, the last d-k+1 columns of Q as rows. They are
+orthonormal, and orthogonal to every column of C whatever its rank, since
+R is zero below row k-1, so every centroid vanishes in their span. Each
+set is then projected once, as
 (x - translation) @ basis.T: the one projection that both the build and
 check_depth_certificate use.
 
@@ -25,8 +26,8 @@ the cylinder contains every line along which the cylinder extends, so
 its normal lies in the row space of basis; it then contains each part
 centroid, whose projection lies in the ball, and so at least one point
 of every part, which is at least ceil(|P_i| / m_i) points of every set.
-A certificate therefore stores the basis alone, not the chain that made
-it, and the ball sits at the origin of the subspace, the translation, so
+A certificate therefore stores the basis alone, not how it was found,
+and the ball sits at the origin of the subspace, the translation, so
 it stores the radius alone.
 
 The build self-checks how the pieces fit together (_frame_checks): the
@@ -67,24 +68,7 @@ __all__ = [
     "joint_depth_ball",
 ]
 
-DEGENERATE_CENTROID_TOL = 1e-12
 CENTERED_TOL = 1e-9
-
-
-def _householder_rows(u: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to unit vector u.
-
-    Rows of the Householder reflection that maps u onto a signed
-    canonical axis, with that axis's row removed. Deterministic: the
-    pivot is the first coordinate of largest magnitude.
-    """
-    c = u.shape[0]
-    j = int(np.argmax(np.abs(u)))
-    sign = 1.0 if u[j] >= 0.0 else -1.0
-    w = u.copy()
-    w[j] += sign
-    h = np.eye(c) - (2.0 / float(w @ w)) * np.outer(w, w)
-    return np.delete(h, j, axis=0)
 
 
 def _validated_sets(sets) -> list[PointSet]:
@@ -100,34 +84,30 @@ def _validated_sets(sets) -> list[PointSet]:
     return pts
 
 
+def _centering_scale(pts: list[PointSet]) -> float:
+    """The scale of every centering tolerance: max(1, max |x|) over all coordinates."""
+    return max([1.0] + [float(np.abs(p.coords).max(initial=0.0)) for p in pts])
+
+
 def align_centroids(sets) -> tuple[np.ndarray, list[np.ndarray]]:
     """Project k sets into a (d-k+1)-dim subspace where all centroids vanish.
 
     The input must already have the first set's centroid at the origin.
-    Step i removes the direction of set i's centroid in the current
-    subspace (or a canonical fallback direction when that centroid
-    already sits at the origin, so the dimension still drops
-    deterministically). Only the k centroids pass through the chain;
-    each set is projected once, as x @ basis.T, at the end. Returns the
-    (d-k+1, d) row-orthonormal basis and the projected sets: the basis
-    is all a certificate needs, since the depth claim holds for any
+    The basis is the orthogonal complement of the other k-1 centroids,
+    the trailing columns of one complete QR factorization of their
+    d x (k-1) matrix. No case is special: k = 1 gives the identity, and
+    an exactly zero second centroid drops axis 0. Each set is
+    projected once, as x @ basis.T. Returns the (d-k+1, d)
+    row-orthonormal basis and the projected sets: the basis is all a
+    certificate needs, since the depth claim holds for any
     row-orthonormal basis whose projected part centroids lie in the ball.
     """
     pts = _validated_sets(sets)
-    d = pts[0].dim
-    scale = max(diameter_bound(p, 0)[0] for p in pts)
-    scale = max(scale, float(max(np.abs(p.coords).max() for p in pts)))
-    if float(np.linalg.norm(centroid(pts[0]))) > CENTERED_TOL * max(scale, 1.0):
+    k, d = len(pts), pts[0].dim
+    if float(np.linalg.norm(centroid(pts[0]))) > CENTERED_TOL * _centering_scale(pts):
         raise ValueError("first set must be centered at the origin")
-
-    basis = np.eye(d)
-    for p in pts[1:]:
-        axis = basis @ centroid(p)
-        nrm = float(np.linalg.norm(axis))
-        if nrm <= DEGENERATE_CENTROID_TOL * max(scale, 1.0):
-            # centroids already coincide; drop a canonical direction
-            axis, nrm = np.eye(basis.shape[0])[0], 1.0
-        basis = _householder_rows(axis / nrm) @ basis
+    cents = np.array([centroid(p) for p in pts[1:]]).reshape(k - 1, d)
+    basis = np.linalg.qr(cents.T, mode="complete")[0][:, k - 1 :].T
     return basis, [p.coords @ basis.T for p in pts]
 
 
@@ -142,7 +122,7 @@ def joint_depth_ball(projected_sets, m) -> tuple[Ball, list[TverbergCertificate]
     pts = [_as_point_set(p) for p in projected_sets]
     if len(m) != len(pts):
         raise InfeasibleError("need one part-size parameter per set")
-    scale = max([1.0] + [float(np.abs(p.coords).max(initial=0.0)) for p in pts])
+    scale = _centering_scale(pts)
     certs: list[TverbergCertificate] = []
     depths: list[int] = []
     for p, m_i in zip(pts, m):
@@ -178,7 +158,7 @@ class DepthCertificate:
     existential_radius = (2 + 2*sqrt(2)) * max_i diam(P_i)/sqrt(m_i) is
     the smaller non-constructive target it replaces, reported for
     comparison only. oracle_depths holds the exact planar depth of the
-    ball center per original set when d = 2, else None.
+    ball center per original set when _has_oracle holds, else None.
     """
 
     translation: np.ndarray
@@ -215,6 +195,11 @@ class DepthCertificate:
         return float(np.linalg.norm(z)) <= self.radius + tol
 
 
+def _has_oracle(pts: list[PointSet]) -> bool:
+    """Whether a depth certificate holds oracle depths: d = 2 and at most 1000 points a set."""
+    return pts[0].dim == 2 and all(p.n <= 1000 for p in pts)
+
+
 def generalized_ham_sandwich(sets, m) -> DepthCertificate:
     """Build a depth certificate shared by the k input sets (k <= d)."""
     pts = _validated_sets(sets)
@@ -228,9 +213,7 @@ def generalized_ham_sandwich(sets, m) -> DepthCertificate:
     existential = (2.0 + 2.0 * math.sqrt(2.0)) * max(
         dv / math.sqrt(mi) for (dv, _), mi in zip(diams, m)
     )
-    oracle_depths = None
-    if pts[0].dim == 2 and all(p.n <= 1000 for p in pts):
-        oracle_depths = tuple(depth_2d_exact(t, p) for p in pts)
+    oracle_depths = tuple(depth_2d_exact(t, p) for p in pts) if _has_oracle(pts) else None
 
     cert = DepthCertificate(
         translation=t,
@@ -268,7 +251,7 @@ def _frame_checks(cert: DepthCertificate, pts: list[PointSet]) -> tuple[_Checks,
     checks = _Checks()
     k = len(pts)
     d = pts[0].dim if pts else 0
-    scale = max([1.0] + [float(np.abs(p.coords).max(initial=0.0)) for p in pts])
+    scale = _centering_scale(pts)
     basis, sub_dim = cert.basis, d - (k - 1)
 
     checks.add("set_count_at_most_dim", 1 <= k <= d, f"k={k} d={d}")
@@ -282,7 +265,8 @@ def _frame_checks(cert: DepthCertificate, pts: list[PointSet]) -> tuple[_Checks,
 
     t_err = np.linalg.norm(cert.translation - centroid(pts[0]))
     checks.close("translation_is_first_centroid", t_err, 0.0, scale)
-    gram_err = float(np.abs(basis @ basis.T - np.eye(sub_dim)).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge entry overflows to inf and fails below
+        gram_err = float(np.abs(basis @ basis.T - np.eye(sub_dim)).max())
     checks.add("basis_orthonormal", gram_err <= 1e-9, f"err {gram_err:.3e}")
     if not gram_err <= 1e-9:  # also NaN: the rows are then no frame to measure the ball in
         return checks, None
@@ -342,9 +326,7 @@ def check_depth_certificate(cert: DepthCertificate, sets) -> list[CheckResult]:
     for i, (q, sub) in enumerate(zip(projected, cert.per_set)):
         failed = [c.name for c in check_certificate(sub, q) if not c.ok]
         checks.add(f"set{i}_partition_certificate", not failed, ", ".join(failed))
-    if cert.oracle_depths is not None:
-        ok = len(cert.oracle_depths) == len(pts) and pts[0].dim == 2
-        if ok:
-            ok = tuple(depth_2d_exact(cert.translation, p) for p in pts) == cert.oracle_depths
-        checks.add("oracle_depths_match", ok)
+    if _has_oracle(pts) or cert.oracle_depths is not None:
+        ok = _has_oracle(pts) and tuple(depth_2d_exact(cert.translation, p) for p in pts) == cert.oracle_depths
+        checks.add("oracle_depths_match", ok, "" if ok else f"stored {cert.oracle_depths}")
     return checks

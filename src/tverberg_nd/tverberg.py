@@ -71,7 +71,6 @@ __all__ = [
     "CertificateError",
     "CheckResult",
     "InfeasibleError",
-    "SizeSpec",
     "TverbergCertificate",
     "apply_selection",
     "check_certificate",
@@ -100,25 +99,14 @@ class CertificateError(RuntimeError):
         self.failures = list(failures)
 
 
-@dataclass(frozen=True)
-class SizeSpec:
-    """Prescribed class sizes, one positive entry per class."""
-
-    sizes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        sizes = tuple(int(r) for r in self.sizes)
-        if len(sizes) == 0:
-            raise InfeasibleError("need at least one class")
-        if any(r < 1 for r in sizes):
-            raise InfeasibleError("class sizes must be positive")
-        object.__setattr__(self, "sizes", sizes)
-
-
 def _as_sizes(sizes) -> tuple[int, ...]:
-    if isinstance(sizes, SizeSpec):
-        return sizes.sizes
-    return SizeSpec(tuple(sizes)).sizes
+    """Prescribed class sizes, one positive entry per class."""
+    sizes = tuple(int(r) for r in sizes)
+    if len(sizes) == 0:
+        raise InfeasibleError("need at least one class")
+    if any(r < 1 for r in sizes):
+        raise InfeasibleError("class sizes must be positive")
+    return sizes
 
 
 class _TraversalState:

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -335,6 +336,33 @@ def test_hamsandwich_run_verify_and_digest_order(tmp_path):
     assert cli.main(["verify", str(out), b, a]) == cli.EXIT_DIGEST
 
 
+@pytest.mark.parametrize("d,oracle_depths", [("2", None), ("3", [1, 1])], ids=["missing", "extra"])
+def test_verify_fails_a_missing_or_extra_oracle_list(tmp_path, capsys, d, oracle_depths):
+    # the planar oracle list is present exactly when d = 2 and no set exceeds 1000 points
+    out, inputs = _hamsandwich_run(tmp_path, 60, d=d)
+    doc = json.loads(out.read_text())
+    assert (doc["oracle_depths"] is None) == (d == "3")
+    doc["oracle_depths"] = oracle_depths
+    out.write_bytes(cli.emit_document(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out), *inputs]) == cli.EXIT_CHECK_FAILED
+    assert "FAIL oracle_depths_match" in capsys.readouterr().out
+
+
+def test_verify_huge_basis_fails_without_a_warning(tmp_path, capsys):
+    out, inputs = _hamsandwich_run(tmp_path, 60, d="2")
+    doc = json.loads(out.read_text())
+    doc["subspace_basis"] = [[1e300, 0.0]]  # its Gram product overflows
+    out.write_bytes(cli.emit_document(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", str(out), *inputs]) == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "FAIL basis_orthonormal" in captured.out
+    assert captured.err == ""
+
+
 def test_verify_digest_and_tamper_exit_codes(tmp_path, capsys):
     data = tmp_path / "pts.csv"
     other = tmp_path / "other.csv"
@@ -394,6 +422,8 @@ def test_verify_digest_and_tamper_exit_codes(tmp_path, capsys):
         "points_bool_among_numbers",
         "classes_string",
         "classes_bool",
+        "points_int_overflow",
+        "classes_int_overflow",
         "arity_too_small",
         "csv_separators_only",
         "csv_not_utf8",
@@ -432,6 +462,8 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
         "points_bool_among_numbers": ["tverberg", str(bad), "--k", "2", "--out", str(out)],
         "classes_string": ["colorful", str(bad), "--out", str(out)],
         "classes_bool": ["colorful", str(bad), "--out", str(out)],
+        "points_int_overflow": ["tverberg", str(bad), "--k", "2", "--out", str(out)],
+        "classes_int_overflow": ["colorful", str(bad), "--out", str(out)],
     }
     if case == "points_dim_not_integer":
         bad.write_text('{"dim": "a", "points": [[0.0, 1.0]]}')
@@ -453,6 +485,10 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
         bad.write_text('{"classes": [[["1", "2"]], [["3", "4"]]]}')
     elif case == "classes_bool":
         bad.write_text('{"classes": [[[0.5, 2.0], [true, 1.0]], [[3.0, 4.0], [5.0, 6.0]]]}')
+    elif case == "points_int_overflow":
+        bad.write_text('{"points": [[0.5, 1%s], [3.0, 4.0]]}' % ("0" * 400))  # beyond the float range
+    elif case == "classes_int_overflow":
+        bad.write_text('{"classes": [[[0.5, 1%s]], [[3.0, 4.0]]]}' % ("0" * 400))
     elif case in ("arity_too_small", "sizes_empty", "sizes_object", "sizes_zero"):
         cli.main(["tverberg", str(data), "--sizes", "5,6,6,7", "--out", str(out)])
         gdoc = json.loads(out.read_text())

@@ -6,7 +6,6 @@ import pytest
 
 from tverberg_nd.geom import PointSet
 from tverberg_nd.hamsandwich import (
-    _householder_rows,
     align_centroids,
     check_depth_certificate,
     generalized_ham_sandwich,
@@ -61,6 +60,15 @@ def _offset_sets(seed, k, n, d):
     return [rng.standard_normal((n + 7 * i, d)) + rng.uniform(-3.0, 3.0, d) for i in range(k)]
 
 
+def _householder_rows(u):
+    """Rows of the Householder reflection that maps unit vector u onto a signed axis, that axis's row removed."""
+    j = int(np.argmax(np.abs(u)))
+    w = u.copy()
+    w[j] += 1.0 if u[j] >= 0.0 else -1.0
+    h = np.eye(u.shape[0]) - (2.0 / float(w @ w)) * np.outer(w, w)
+    return np.delete(h, j, axis=0)
+
+
 def _iterated_projection(sets):
     """Reference chain: every whole set is re-projected at every step."""
     cur = [np.asarray(x, dtype=np.float64) for x in sets]
@@ -75,14 +83,15 @@ def _iterated_projection(sets):
 
 @pytest.mark.parametrize("seed,k,n,d", _CHAIN_SHAPES)
 def test_centroid_chain_matches_iterated_projection(seed, k, n, d):
+    # any orthonormal basis of the same subspace will do, so compare projectors and Gram matrices
     sets = _offset_sets(seed, k, n, d)
     translated = [x - sets[0].mean(axis=0) for x in sets]
     basis, projected = align_centroids(translated)
     reference, iterated = _iterated_projection(translated)
-    assert np.abs(basis - reference).max() <= 1e-12
+    assert np.abs(basis.T @ basis - reference.T @ reference).max() <= 1e-12
     for x, q, r in zip(translated, projected, iterated):
         assert np.array_equal(q, x @ basis.T)
-        assert np.abs(q - r).max() <= 1e-11  # entries stay below 10 in magnitude
+        assert np.abs(q @ q.T - r @ r.T).max() <= 1e-11  # entries stay below 1e3 in magnitude
 
 
 @pytest.mark.parametrize("seed,k,n,d", _CHAIN_SHAPES)
@@ -96,12 +105,37 @@ def test_per_set_certificates_rebuild_on_checker_projection(seed, k, n, d):
 
 
 def test_align_centroids_degenerate_fallback():
-    # both centroids already at the origin: a canonical axis is dropped
+    # both centroids exactly at the origin: the factorization drops axis 0
     base = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
     basis, projected = align_centroids([base, base.copy()])
-    assert basis.shape == (2, 3)
+    assert np.array_equal(basis, np.eye(3)[1:])
     assert projected[0].shape == (4, 2)
     assert float(np.linalg.norm(projected[1].mean(axis=0))) <= 1e-12
+
+
+def _coincident_centroids():
+    rng = np.random.default_rng(30)
+    a, b = rng.standard_normal((40, 3)), rng.standard_normal((44, 3))
+    shift = np.array([1.0, -2.0, 0.5])
+    return [a - a.mean(axis=0) + shift, b - b.mean(axis=0) + shift]
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        pytest.param(_coincident_centroids(), id="coincident_centroids"),
+        pytest.param(_offset_sets(31, 4, 50, 4), id="k_equals_d"),
+        pytest.param(_offset_sets(32, 1, 50, 3), id="one_set"),
+    ],
+)
+def test_frame_from_qr_passes_every_check(sets):
+    k, d = len(sets), sets[0].shape[1]
+    cert = generalized_ham_sandwich(sets, (5,) * k)
+    assert cert.basis.shape == (d - k + 1, d)
+    if k == 1:
+        assert np.array_equal(cert.basis, np.eye(d))
+    failed = [c.name for c in check_depth_certificate(cert, sets) if not c.ok]
+    assert not failed
 
 
 def test_joint_depth_ball_m_validation():

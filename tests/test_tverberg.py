@@ -14,7 +14,6 @@ from tverberg_nd.lifting import make_custom_graph, make_graph, quadratic_form, s
 from tverberg_nd.oracle import enumerate_traversals
 from tverberg_nd.tverberg import (
     InfeasibleError,
-    SizeSpec,
     apply_selection,
     check_certificate,
     partition_balanced,
@@ -27,15 +26,11 @@ from tverberg_nd.tverberg import (
 )
 
 
-def test_size_spec_validation():
-    spec = SizeSpec((3, 2, 1))
-    assert spec.sizes == (3, 2, 1)
-    with pytest.raises(InfeasibleError):
-        SizeSpec(())
-    with pytest.raises(InfeasibleError):
-        SizeSpec((2, 0))
-    with pytest.raises(InfeasibleError):
-        SizeSpec((2, -1))
+def test_partition_general_rejects_bad_sizes():
+    pts = np.random.default_rng(0).standard_normal((6, 2))
+    for sizes, message in [((), "at least one class"), ((2, 0), "positive"), ((2, -1), "positive")]:
+        with pytest.raises(InfeasibleError, match=message):
+            partition_general(pts, sizes)
 
 
 def test_radius_bound_values():
