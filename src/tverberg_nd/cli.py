@@ -654,7 +654,9 @@ def cmd_verify(args) -> int:
         raise ParseError(args.certificate, f"unknown command {command!r}")
     encode, decode = _CODECS[command]
     try:
-        cert = decode(doc)
+        cert, timing_ms = decode(doc), doc.get("timing_ms")
+        if timing_ms is not None and _float(timing_ms) < 0:
+            raise ValueError(f"timing_ms must be null or a number >= 0, got {timing_ms!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(args.certificate, f"malformed certificate: {exc!r}") from exc
     # each key the schema defines is decoded above, so any other key is one verify would not read
@@ -705,6 +707,9 @@ def cmd_gen(args) -> int:
 
 
 def _fit_exponent(xs, ys) -> float:
+    """Slope of log ys against log xs; nan when xs holds fewer than two distinct sizes."""
+    if len(set(xs)) < 2:
+        return math.nan
     lx = np.log(np.asarray(xs, dtype=np.float64))
     ly = np.log(np.asarray(ys, dtype=np.float64))
     slope = np.polyfit(lx, ly, 1)[0]

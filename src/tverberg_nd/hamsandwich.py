@@ -7,9 +7,8 @@ complete QR factorization C = QR of the d x (k-1) matrix C of the other
 centroids gives `basis`, the last d-k+1 columns of Q as rows. They are
 orthonormal, and orthogonal to every column of C whatever its rank, since
 R is zero below row k-1, so every centroid vanishes in their span. Each
-set is then projected once, as
-(x - translation) @ basis.T: the one projection that both the build and
-check_depth_certificate use.
+set is then projected once, as (x - translation) @ basis.T: the one
+projection that both the build and check_depth_certificate use.
 
 Each projected set is split into ceil(|P_i| / m_i) nearly equal parts.
 All part centroids of set i land within twice that run's radius
@@ -31,11 +30,12 @@ and the ball sits at the origin of the subspace, the translation, so
 it stores the radius alone.
 
 The build self-checks how the pieces fit together (_frame_checks): the
-frame, the depth bounds, the radius, the ball and its cover of every
-part centroid, and the set diameters. It does not recheck the per-set
-certificates, which the partitioner checked on the same projected
-arrays, nor the planar oracle depths, which are the oracle's own output.
-check_depth_certificate, the external check, rederives both as well.
+frame, the depth bounds, the radius, the ball's cover of every stored
+part centroid, and the set diameters. It projects no set: the per-set
+certificates hold the part centroids, which the partitioner checked on
+the same projected arrays, and the planar oracle depths are the
+oracle's own output. check_depth_certificate, the external check,
+rederives both as well, projecting one set at a time.
 """
 
 from __future__ import annotations
@@ -209,10 +209,7 @@ def generalized_ham_sandwich(sets, m) -> DepthCertificate:
     basis, projected = align_centroids([p.coords - t for p in pts])
     ball, per_set, depths = joint_depth_ball(projected, m)
 
-    diams = [diameter_bound(p) for p in pts]
-    existential = (2.0 + 2.0 * math.sqrt(2.0)) * max(
-        dv / math.sqrt(mi) for (dv, _), mi in zip(diams, m)
-    )
+    diams, exact = zip(*(diameter_bound(p) for p in pts))
     oracle_depths = tuple(depth_2d_exact(t, p) for p in pts) if _has_oracle(pts) else None
 
     cert = DepthCertificate(
@@ -222,31 +219,34 @@ def generalized_ham_sandwich(sets, m) -> DepthCertificate:
         m=m,
         depth_lower_bounds=depths,
         per_set=tuple(per_set),
-        existential_radius=existential,
-        set_diameters=tuple(dv for dv, _ in diams),
-        set_diameters_exact=tuple(flag for _, flag in diams),
+        existential_radius=_existential_radius(diams, m),
+        set_diameters=diams,
+        set_diameters_exact=exact,
         oracle_depths=oracle_depths,
     )
-    _require(_frame_checks(cert, pts)[0])
+    _require(_frame_checks(cert, pts))
     return cert
 
 
-def _frame_checks(cert: DepthCertificate, pts: list[PointSet]) -> tuple[_Checks, list | None]:
+def _existential_radius(diams, m) -> float:
+    """(2 + 2*sqrt(2)) * max_i diam(P_i) / sqrt(m_i): reported for comparison, not certified."""
+    return (2.0 + 2.0 * math.sqrt(2.0)) * max(dv / math.sqrt(mi) for dv, mi in zip(diams, m))
+
+
+def _frame_checks(cert: DepthCertificate, pts: list[PointSet]) -> _Checks:
     """Check how the pieces of a depth certificate fit together, from the raw sets.
 
-    Covers the shapes, the translation, the basis, the projected
+    Covers the shapes, the translation, the basis, the projected set
     centroids, the depth bounds, the radius and the ball's cover of
     every part centroid, the set diameters and the existential radius.
     The depth claim needs no more of the frame than an orthonormal basis
     whose projected part centroids lie in the ball: a halfspace
     containing {x : |basis (x - translation)| <= radius} has its normal
     in the row space of basis, so it contains every part centroid and a
-    point of every part. How the basis was found is not checked. The
-    per-set certificates themselves are not rechecked. Returns the
-    checks and the sets projected by the certificate's own frame,
-    (x - translation) @ basis.T, or None when the stored arrays do not
-    fit the input's shapes or the basis is not orthonormal, since
-    nothing else is then well defined.
+    point of every part. How the basis was found is not checked. No set
+    is projected: the cover is measured on each per-set certificate's
+    part_centroids, which check_certificate matches to its projected
+    set. The checks stop when the shapes or the basis fail.
     """
     checks = _Checks()
     k = len(pts)
@@ -261,7 +261,7 @@ def _frame_checks(cert: DepthCertificate, pts: list[PointSet]) -> tuple[_Checks,
     shapes_ok = lengths == [k] * 5 and shapes == [(d,), (sub_dim, d)]
     checks.add("shapes_consistent", shapes_ok, f"k={k} d={d}: lengths {lengths}, shapes {shapes}")
     if not shapes_ok:
-        return checks, None
+        return checks
 
     t_err = np.linalg.norm(cert.translation - centroid(pts[0]))
     checks.close("translation_is_first_centroid", t_err, 0.0, scale)
@@ -269,10 +269,9 @@ def _frame_checks(cert: DepthCertificate, pts: list[PointSet]) -> tuple[_Checks,
         gram_err = float(np.abs(basis @ basis.T - np.eye(sub_dim)).max())
     checks.add("basis_orthonormal", gram_err <= 1e-9, f"err {gram_err:.3e}")
     if not gram_err <= 1e-9:  # also NaN: the rows are then no frame to measure the ball in
-        return checks, None
+        return checks
 
-    projected = [(p.coords - cert.translation) @ basis.T for p in pts]
-    cent_err = max(float(np.linalg.norm(q.mean(axis=0))) for q in projected)
+    cent_err = max(float(np.linalg.norm(basis @ (centroid(p) - cert.translation))) for p in pts)
     checks.add(
         "projected_centroids_vanish", cent_err <= CENTERED_TOL * scale + ABS_GUARD, f"max {cent_err:.3e}"
     )
@@ -283,17 +282,13 @@ def _frame_checks(cert: DepthCertificate, pts: list[PointSet]) -> tuple[_Checks,
             cert.depth_lower_bounds[i] == expected == sub.k and 2 <= cert.m[i] <= p.n,
             f"stored {cert.depth_lower_bounds[i]} expected {expected}",
         )
+    bounds_ok = all(c.ok for c in checks[-k:])  # then each m_i <= |P_i|, and sqrt(m_i) cannot overflow
 
     radius = max(2.0 * sub.radius_guaranteed for sub in cert.per_set)
     checks.close("radius_is_twice_worst_guarantee", radius, cert.radius, radius)
 
     cover_slack = CENTERED_TOL * scale + REL_SLACK * max(cert.radius, 1.0) + ABS_GUARD
-    worst = 0.0
-    for q, sub in zip(projected, cert.per_set):
-        if sorted(i for part in sub.parts for i in part) != list(range(len(q))) or not all(sub.parts):
-            continue  # not a partition of the set into non-empty parts: check_certificate fails it
-        cents = np.stack([q[list(part)].mean(axis=0) for part in sub.parts])
-        worst = max(worst, _radius(cents, np.zeros(sub_dim)))
+    worst = float(np.max([_radius(sub.part_centroids, np.zeros(sub_dim)) for sub in cert.per_set]))
     checks.add(
         "ball_covers_all_part_centroids",
         worst <= cert.radius + cover_slack,
@@ -302,29 +297,29 @@ def _frame_checks(cert: DepthCertificate, pts: list[PointSet]) -> tuple[_Checks,
 
     diams = [diameter_bound(p, p.n if flag else 0)[0] for p, flag in zip(pts, cert.set_diameters_exact)]
     checks.close("set_diameters_match", diams, cert.set_diameters, scale)
-    existential = (2.0 + 2.0 * math.sqrt(2.0)) * max(
-        sv / math.sqrt(mi) for sv, mi in zip(cert.set_diameters, cert.m)
-    )
+    existential = _existential_radius(cert.set_diameters, cert.m) if bounds_ok else math.nan  # nan fails
     checks.close("existential_radius_formula", existential, cert.existential_radius, existential)
-    return checks, projected
+    return checks
 
 
 def check_depth_certificate(cert: DepthCertificate, sets) -> list[CheckResult]:
     """Recompute every claim of a depth certificate from the raw sets.
 
     The frame checks (see _frame_checks), then the two re-derivations a
-    build does not need: each per-set certificate rechecked on the
-    recomputed projection, and in the plane the exact oracle depths.
-    A build's own self-check runs the frame checks alone, because each
-    per-set certificate was checked on the same array when it was built
-    and the oracle depths are the oracle's own output.
+    build does not need: each per-set certificate rechecked on its set
+    projected by the stored frame, (x - translation) @ basis.T, one set
+    at a time, and in the plane the exact oracle depths. A build's own
+    self-check runs the frame checks alone, because each per-set
+    certificate was checked on the same array when it was built and the
+    oracle depths are the oracle's own output.
     """
     pts = [_as_point_set(p) for p in sets]
-    checks, projected = _frame_checks(cert, pts)
-    if projected is None:
-        return checks
-    for i, (q, sub) in enumerate(zip(projected, cert.per_set)):
-        failed = [c.name for c in check_certificate(sub, q) if not c.ok]
+    checks = _frame_checks(cert, pts)
+    if not any(c.name == "basis_orthonormal" and c.ok for c in checks):
+        return checks  # the shapes or the basis failed: there is no frame to project into
+    for i, (p, sub) in enumerate(zip(pts, cert.per_set)):
+        sub_checks = check_certificate(sub, (p.coords - cert.translation) @ cert.basis.T)
+        failed = [c.name for c in sub_checks if not c.ok]
         checks.add(f"set{i}_partition_certificate", not failed, ", ".join(failed))
     if _has_oracle(pts) or cert.oracle_depths is not None:
         ok = _has_oracle(pts) and tuple(depth_2d_exact(cert.translation, p) for p in pts) == cert.oracle_depths

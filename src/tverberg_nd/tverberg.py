@@ -385,16 +385,12 @@ class _Checks(list):
         self.add(name, err <= REL_SLACK * max(scale, 1.0) + ABS_GUARD, detail)
 
 
-def _distance(a: np.ndarray, b: np.ndarray) -> float:
-    """|a - b| for two points of one dimension; inf when the dimensions differ."""
-    return float(np.linalg.norm(a - b)) if a.shape == b.shape else math.inf
-
-
 def _radius(cents: np.ndarray, center: np.ndarray) -> float:
-    """Largest distance from center to a row of cents; inf when the dimensions differ."""
+    """Largest distance from center to a row of cents, 0 for no rows; inf when the dimensions differ."""
     if center.shape != cents.shape[1:]:
         return math.inf
-    return float(np.sqrt(((cents - center) ** 2).sum(axis=1)).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge stored coordinate gives inf, which fails
+        return float(np.sqrt(((cents - center) ** 2).sum(axis=1)).max(initial=0.0))
 
 
 def _require(checks: list[CheckResult]) -> None:
@@ -521,7 +517,7 @@ def check_certificate(cert: TverbergCertificate, points: PointSet) -> list[Check
     tail_sums, tail_counts = _class_sums(coords[n0:], center, assign[n0:], k)
     cents = _part_centroids(run_sums + tail_sums, run_counts + tail_counts, center)
     checks.close("part_centroids_match", cents, cert.part_centroids, scale)
-    center_err = _distance(_ball_center(cert.mode, center, cents), cert.ball_center)
+    center_err = _radius(_ball_center(cert.mode, center, cents)[None], cert.ball_center)
     checks.close("ball_center_matches_mode", center_err, 0.0, scale)
     achieved = _radius(cents, cert.ball_center)
     checks.close("radius_achieved_matches", achieved, cert.radius_achieved, scale)

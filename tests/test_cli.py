@@ -363,6 +363,23 @@ def test_verify_huge_basis_fails_without_a_warning(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_verify_huge_ball_center_fails_without_a_warning(tmp_path, capsys):
+    data, out = tmp_path / "pts.csv", tmp_path / "c.json"
+    cli.main(["gen", "--n", "24", "--d", "2", "--seed", "1", "--out", str(data)])
+    cli.main(["tverberg", str(data), "--k", "4", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    doc["ball"]["center"][0] = 1e308  # its squared distance to every centroid overflows
+    out.write_bytes(cli.emit_document(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", str(out), str(data)]) == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    for check in ("ball_center_matches_mode", "radius_achieved_matches", "radius_within_guarantee"):
+        assert f"FAIL {check}" in captured.out
+    assert captured.err == ""
+
+
 def test_verify_digest_and_tamper_exit_codes(tmp_path, capsys):
     data = tmp_path / "pts.csv"
     other = tmp_path / "other.csv"
@@ -438,6 +455,9 @@ def test_verify_digest_and_tamper_exit_codes(tmp_path, capsys):
         "sizes_empty",
         "sizes_object",
         "sizes_zero",
+        "timing_string",
+        "timing_negative",
+        "timing_list",
     ],
 )
 def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
@@ -564,6 +584,9 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
             "center_bool": lambda d: {**d, "ball": {**d["ball"], "center": [True, *d["ball"]["center"][1:]]}},
             "diameter_exact_string": lambda d: {**d, "diameter_exact": "false"},
             "diameter_exact_int": lambda d: {**d, "diameter_exact": int(d["diameter_exact"])},
+            "timing_string": lambda d: {**d, "timing_ms": "soon"},
+            "timing_negative": lambda d: {**d, "timing_ms": -5},
+            "timing_list": lambda d: {**d, "timing_ms": [1.0]},
         }
         bad.write_bytes(cli.emit_document(edits[case](doc)))
         argvs[case] = ["verify", str(bad), str(data)]
@@ -575,9 +598,9 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
         assert err.rstrip().endswith("bad.csv:2: not valid UTF-8")  # the line holding the bad byte
 
 
-@pytest.mark.parametrize("m0", [1, 61])
+@pytest.mark.parametrize("m0", [1, 61, pytest.param(10**400, id="10**400")])
 def test_m_out_of_range_fails_depth_bound(tmp_path, capsys, m0):
-    # m_i = 1 and m_i > |P_i| decode, then fail the named check
+    # m_i = 1 and m_i > |P_i| decode, then fail the named check; 10**400 is beyond the float range
     out, inputs = _hamsandwich_run(tmp_path, 60)
     doc = json.loads(out.read_text())
     doc["parameters"]["m"][0] = m0
@@ -613,14 +636,26 @@ def _index_out_of_range(sub):
     sub["parts"][0][0] = 10**6
 
 
+def _push_centroid_out(sub):
+    sub["part_centroids"][0] = [v + 1e3 for v in sub["part_centroids"][0]]
+
+
+def _empty_centroids(sub):
+    sub["part_centroids"] = []
+
+
 @pytest.mark.parametrize("kind", ["tverberg", "hamsandwich"])
 @pytest.mark.parametrize(
     "edit",
-    [_shrink_radius, _move_index, _nudge_centroid, _empty_parts, _truncate_centroids, _index_out_of_range],
+    [
+        _shrink_radius, _move_index, _nudge_centroid, _empty_parts, _truncate_centroids, _index_out_of_range,
+        _push_centroid_out, _empty_centroids,
+    ],
     ids=lambda f: f.__name__.lstrip("_"),
 )
 def test_tampered_certificate_fails_verify(tmp_path, capsys, kind, edit):
-    # 62 rows in 11 or 5 parts leave a remainder, so every partition is nearly balanced
+    # 62 rows in 11 or 5 parts leave a remainder, so every partition is nearly balanced;
+    # the depth ball's cover is measured on the stored part centroids, so moving one out fails it too
     if kind == "tverberg":
         data = tmp_path / "pts.csv"
         cli.main(["gen", "--n", "62", "--d", "3", "--seed", "1", "--out", str(data)])
@@ -638,7 +673,10 @@ def test_tampered_certificate_fails_verify(tmp_path, capsys, kind, edit):
     bad.write_bytes(cli.emit_document(doc))
     capsys.readouterr()
     assert cli.main(["verify", str(bad), *inputs]) == cli.EXIT_CHECK_FAILED
-    assert expected in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert expected in printed
+    if kind == "hamsandwich" and edit in (_push_centroid_out, _empty_centroids):
+        assert "FAIL ball_covers_all_part_centroids" in printed
 
 
 @pytest.mark.parametrize("resize", ["append", "truncate"])
@@ -768,6 +806,14 @@ def test_timing_flag_controls_timing_field(tmp_path):
     assert json.loads(out.read_text())["timing_ms"] is None
     cli.main(["tverberg", str(data), "--k", "2", "--out", str(out), "--timing"])
     assert json.loads(out.read_text())["timing_ms"] >= 0.0
+
+
+def test_one_point_bench_grid_fits_no_exponent():
+    # a line through one point has any slope: polyfit would warn and return noise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, expo = cli.run_bench_colorful([128], n_classes=16, d=64, reps=1)
+    assert [k for k, _ in rows] == [128] and math.isnan(expo)
 
 
 def test_svg_structure(tmp_path):

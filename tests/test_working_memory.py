@@ -4,6 +4,8 @@ The traversal, the class sums, diameter_upper and depth_2d_exact walk
 their input one geom._SCAN_BYTES block at a time. Shrinking the budget to
 a few rows must not change a single output byte, and at the default
 budget the traced peak must stay far below one input-sized temporary.
+A ham-sandwich build and its check hold a bounded number of projected
+sets at once.
 """
 
 import tracemalloc
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from tverberg_nd import cli, geom, tverberg
+from tverberg_nd.hamsandwich import check_depth_certificate, generalized_ham_sandwich
 from tverberg_nd.oracle import depth_2d_exact
 
 D = 3
@@ -83,11 +86,12 @@ def test_blocked_upper_diameter_and_planar_depth_match_one_block(monkeypatch):
     assert values[TINY] == values[WHOLE]
 
 
-def _traced_peak(fn, *args) -> int:
+def _traced(fn, *args):
+    """fn(*args) and the traced peak of the call, in bytes."""
     tracemalloc.start()
     try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
@@ -95,13 +99,37 @@ def _traced_peak(fn, *args) -> int:
 def test_partition_general_peak_stays_within_a_few_blocks():
     n, d = 20000, 64
     pts = np.random.default_rng(0).standard_normal((n, d))  # 10 MiB, made before tracing
-    peak = _traced_peak(tverberg.partition_general, pts, [n // 4] * 4)
+    _, peak = _traced(tverberg.partition_general, pts, [n // 4] * 4)
     # a few blocks plus O(n) index state; one n x d float temporary alone is 10 MiB
     assert peak < 4 * geom._SCAN_BYTES + 64 * n
 
 
 def test_planar_depth_peak_stays_within_a_few_blocks():
     planar = np.random.default_rng(1).standard_normal((1000, 2))
-    peak = _traced_peak(depth_2d_exact, planar.mean(axis=0), planar)
+    _, peak = _traced(depth_2d_exact, planar.mean(axis=0), planar)
     # one count over all 4n directions at once would be 1000 x 4000 floats, 30 MiB
     assert peak < 4 * geom._SCAN_BYTES
+
+
+@pytest.fixture(scope="module")
+def wide_hamsandwich():
+    """Two 20000 x 64 sets (10 MiB each, made before tracing), the build on them and its traced peak."""
+    rng = np.random.default_rng(4)
+    sets = [rng.standard_normal((20000, 64)), rng.standard_normal((20000, 64)) + 0.5]
+    cert, peak = _traced(generalized_ham_sandwich, sets, (50, 50))
+    return sets, cert, peak
+
+
+def test_hamsandwich_build_holds_one_projection_of_each_set(wide_hamsandwich):
+    sets, _, peak = wide_hamsandwich
+    # the translated and the projected sets while the frame is found: about 4 sets' bytes;
+    # a self-check that projected every set again would add 2 more
+    assert peak < 4.5 * sets[0].nbytes
+
+
+def test_depth_check_projects_one_set_at_a_time(wide_hamsandwich):
+    sets, cert, _ = wide_hamsandwich
+    checks, peak = _traced(check_depth_certificate, cert, sets)
+    assert all(c.ok for c in checks)
+    # one set translated and projected: about 2 sets' bytes; every set projected at once would be 3
+    assert peak < 2.5 * sets[0].nbytes
