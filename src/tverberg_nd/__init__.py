@@ -32,21 +32,11 @@ from .hamsandwich import (
 from .lifting import (
     GraphStats,
     LiftingGraph,
-    make_custom_graph,
     make_graph,
-    q_dot,
     quadratic_form,
     stats,
 )
-from .oracle import (
-    EnumerationReport,
-    ExplicitLift,
-    depth_2d_exact,
-    enumerate_colorful,
-    enumerate_traversals,
-    explicit_q_vectors,
-    explicit_tensor,
-)
+from .oracle import depth_2d_exact
 from .tverberg import (
     CertificateError,
     CheckResult,
@@ -69,8 +59,6 @@ __all__ = [
     "ColorInstance",
     "ColorfulCertificate",
     "DepthCertificate",
-    "EnumerationReport",
-    "ExplicitLift",
     "GraphStats",
     "InfeasibleError",
     "LiftingGraph",
@@ -86,19 +74,13 @@ __all__ = [
     "diameter_bound",
     "diameter_exact",
     "diameter_upper",
-    "enumerate_colorful",
-    "enumerate_traversals",
-    "explicit_q_vectors",
-    "explicit_tensor",
     "generalized_ham_sandwich",
     "joint_depth_ball",
-    "make_custom_graph",
     "make_graph",
     "partition_balanced",
     "partition_colorful",
     "partition_general",
     "partition_nearly_balanced",
-    "q_dot",
     "quadratic_form",
     "radius_bound",
     "stats",

@@ -59,6 +59,10 @@ EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_DIGEST = 4
 
+# An input coordinate must lie within +-COORD_BOUND: squared norms of prefix
+# sums grow like d n^2 max|x|^2, and at this bound they stay far below overflow.
+COORD_BOUND = 1e100
+
 
 class ParseError(Exception):
     """Input file rejected; carries the offending line when known."""
@@ -144,14 +148,20 @@ def _only_numbers(nested, depth: int) -> bool:
     return set(map(type, leaves)) <= {int, float}
 
 
+def _within_bound(arr: np.ndarray) -> bool:
+    """Whether every entry lies within +-COORD_BOUND; NaN does not, and no input-sized temporary is made."""
+    return arr.size == 0 or (-COORD_BOUND <= arr.min() and arr.max() <= COORD_BOUND)
+
+
 def _load_csv_fast(path: str) -> np.ndarray | None:
     """The rows as numpy's C reader parses them, or None to defer to _load_csv_lines.
 
     It accepts only comma-separated rows of equal width with no header,
     comment or whitespace-only line, and parses each field to the double
     that float() gives; comments=None keeps "1,2 # note" an error, as in
-    the line parser. Anything it rejects, and any non-finite value, goes
-    to the line parser, so that parser alone words the errors.
+    the line parser. Anything it rejects, and any value that is not
+    finite or lies beyond COORD_BOUND, goes to the line parser, so that
+    parser alone words the errors.
     """
     try:
         with warnings.catch_warnings():
@@ -159,7 +169,7 @@ def _load_csv_fast(path: str) -> np.ndarray | None:
             arr = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, encoding="utf-8-sig")
     except Exception:
         return None
-    return arr if arr.size and np.isfinite(arr).all() else None
+    return arr if arr.size and _within_bound(arr) else None
 
 
 def _load_csv_lines(path: str) -> np.ndarray:
@@ -187,6 +197,8 @@ def _load_csv_lines(path: str) -> np.ndarray:
                     raise ParseError(path, f"non-numeric field in {fields!r}", lineno) from None
                 if not all(math.isfinite(v) for v in vals):
                     raise ParseError(path, "points must be finite", lineno)
+                if not all(abs(v) <= COORD_BOUND for v in vals):
+                    raise ParseError(path, f"a coordinate's magnitude exceeds {COORD_BOUND:g}", lineno)
                 if width is None:
                     width = len(vals)
                 elif len(vals) != width:
@@ -202,9 +214,10 @@ def _load_csv_lines(path: str) -> np.ndarray:
 def _json_array(path: str, key: str, depth: int) -> np.ndarray:
     """The "key" array of a JSON input, decoded by _floats, with its optional "dim" checked.
 
-    Overflow, a non-number, a non-finite value and a ragged or deeper
-    list are a ParseError. A list nested less deeply stays the TypeError
-    of _floats, for the caller to word.
+    Overflow, a non-number, a non-finite value, a value beyond
+    COORD_BOUND and a ragged or deeper list are a ParseError. A list
+    nested less deeply stays the TypeError of _floats, for the caller to
+    word.
     """
     doc = _load_json(path)
     if not isinstance(doc, dict) or key not in doc:
@@ -213,6 +226,8 @@ def _json_array(path: str, key: str, depth: int) -> np.ndarray:
         arr = _floats(doc[key], depth)
     except ValueError as exc:
         raise ParseError(path, f"{key} must be lists of finite JSON numbers: {exc}") from None
+    if not _within_bound(arr):
+        raise ParseError(path, f"a coordinate's magnitude exceeds {COORD_BOUND:g}")
     _check_dim(path, doc, arr.shape[-1])
     return arr
 

@@ -38,7 +38,6 @@ __all__ = [
     "check_colorful_certificate",
     "colorful_radius_bound",
     "partition_colorful",
-    "shift_objective",
     "shift_objectives",
 ]
 
@@ -94,27 +93,14 @@ def _as_instance(classes) -> ColorInstance:
     return classes if isinstance(classes, ColorInstance) else ColorInstance.from_arrays(classes)
 
 
-def shift_objective(members: np.ndarray, running: np.ndarray, t: int) -> float:
-    """Objective increment of routing the class by cyclic shift t.
+def shift_objectives(members: np.ndarray, running: np.ndarray) -> np.ndarray:
+    """Objective increments of all k cyclic shifts at once.
 
     members is the (k, d) class, running the (k, d) per-node sums so
-    far. Spelled as explicit loops; the vectorized shift_objectives must
-    agree with this to within rounding.
+    far; entry t is the increase of the lifted squared norm when member
+    i goes to node (i + t) mod k. The tests check it against a loop
+    reference, ``shift_objective`` in ``tests/reference.py``.
     """
-    k = members.shape[0]
-    a = members[(k - t) % k]
-    q_cls = float(np.einsum("ij,ij->", members, members))
-    s_cls = members.sum(axis=0)
-    first = k * float(a @ a) - 2.0 * float(a @ s_cls) + q_cls
-    third = float((k * a - s_cls) @ running[0])
-    for m in range(1, k):
-        w = members[(m - t) % k]
-        third += float((w - a) @ running[m])
-    return first + 2.0 * third
-
-
-def shift_objectives(members: np.ndarray, running: np.ndarray) -> np.ndarray:
-    """Objective increments of all k cyclic shifts at once."""
     k = members.shape[0]
     idx = np.arange(k)
     a_idx = (-idx) % k

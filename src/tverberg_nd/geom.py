@@ -131,8 +131,8 @@ def diameter_exact(points) -> float:
 
     The value is exact in a strict sense: it is ``sqrt(max f_ij)`` bit
     for bit, where ``f_ij = einsum(diff, diff)`` with ``diff = x_i - x_j``
-    is the plain per-pair formula on the raw rows (the reference scan
-    ``oracle.diameter_pairwise`` computes every f_ij).
+    is the plain per-pair formula on the raw rows (the tests compare it
+    with a reference scan that computes every f_ij).
 
     The rows are translated by row 0, ``c_i = x_i - x_0``, and
     ``s_i = |c_i|^2``. For each block of rows one GEMM gives the estimates

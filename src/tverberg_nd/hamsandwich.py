@@ -146,8 +146,8 @@ class DepthCertificate:
     per_set holds one partition certificate per input set, built on the
     set's projection (x - translation) @ basis.T (rows indexed as in the
     input sets). radius is the radius of the ball, which sits at the
-    origin of the final subspace; ball, constructive_radius and
-    ball_center_ambient (the translation) are derived from it.
+    origin of the final subspace, so the ball's center in input
+    coordinates is translation; the ball property is derived from it.
     depth_lower_bounds[i] = ceil(|P_i| / m[i]) is the number of parts,
     hence the minimum point count of set i in any halfspace containing
     the region {x : |basis (x - translation)| <= radius} (see contains).
@@ -176,14 +176,6 @@ class DepthCertificate:
     def ball(self) -> Ball:
         """The certified ball in the final subspace's coordinates."""
         return Ball(np.zeros(self.basis.shape[0]), self.radius)
-
-    @property
-    def constructive_radius(self) -> float:
-        return self.radius
-
-    @property
-    def ball_center_ambient(self) -> np.ndarray:
-        return self.translation
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         """Membership in the certified region: the ball times the projected-out lines.
@@ -246,7 +238,8 @@ def _frame_checks(cert: DepthCertificate, pts: list[PointSet]) -> _Checks:
     point of every part. How the basis was found is not checked. No set
     is projected: the cover is measured on each per-set certificate's
     part_centroids, which check_certificate matches to its projected
-    set. The checks stop when the shapes or the basis fail.
+    set. The checks stop when the shapes, the translation or the basis
+    fail.
     """
     checks = _Checks()
     k = len(pts)
@@ -263,10 +256,12 @@ def _frame_checks(cert: DepthCertificate, pts: list[PointSet]) -> _Checks:
     if not shapes_ok:
         return checks
 
-    t_err = np.linalg.norm(cert.translation - centroid(pts[0]))
-    checks.close("translation_is_first_centroid", t_err, 0.0, scale)
     with np.errstate(over="ignore", invalid="ignore"):  # a huge entry overflows to inf and fails below
+        t_err = np.linalg.norm(cert.translation - centroid(pts[0]))
         gram_err = float(np.abs(basis @ basis.T - np.eye(sub_dim)).max())
+    checks.close("translation_is_first_centroid", t_err, 0.0, scale)
+    if not checks[-1].ok:  # a projection from a far translation can overflow
+        return checks
     checks.add("basis_orthonormal", gram_err <= 1e-9, f"err {gram_err:.3e}")
     if not gram_err <= 1e-9:  # also NaN: the rows are then no frame to measure the ball in
         return checks
@@ -316,7 +311,7 @@ def check_depth_certificate(cert: DepthCertificate, sets) -> list[CheckResult]:
     pts = [_as_point_set(p) for p in sets]
     checks = _frame_checks(cert, pts)
     if not any(c.name == "basis_orthonormal" and c.ok for c in checks):
-        return checks  # the shapes or the basis failed: there is no frame to project into
+        return checks  # a failed shape, translation or basis leaves no frame to project into
     for i, (p, sub) in enumerate(zip(pts, cert.per_set)):
         sub_checks = check_certificate(sub, (p.coords - cert.translation) @ cert.basis.T)
         failed = [c.name for c in sub_checks if not c.ok]

@@ -11,8 +11,8 @@ over the package:
 * || sum_i u_i (x) q_i ||^2 = sum over edges ij of ||u_i - u_j||^2.
 
 Nothing here materializes the vectors; dot products come straight from
-the adjacency structure. The brute-force oracle module builds them
-explicitly for cross-checking.
+the adjacency structure. The tests build them explicitly, in
+``tests/reference.py``, to cross-check this module.
 
 Nodes are 0-indexed. Rooted families use node 0 as the root and place
 children in breadth-first, left-to-right order.
@@ -31,14 +31,12 @@ __all__ = [
     "LiftingGraph",
     "heap_children",
     "heap_parent",
-    "make_custom_graph",
     "make_graph",
-    "q_dot",
     "quadratic_form",
     "stats",
 ]
 
-KINDS = ("star", "balanced_ary", "path", "custom")
+KINDS = ("star", "balanced_ary", "custom")
 
 
 def heap_parent(x: int, arity: int) -> int:
@@ -94,9 +92,6 @@ class LiftingGraph:
             if len(seen) != self.k:
                 raise ValueError("graph must be connected")
 
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
-
     @cached_property
     def degrees(self) -> np.ndarray:
         deg = np.array([len(a) for a in self.adjacency], dtype=np.int64)
@@ -138,17 +133,13 @@ class GraphStats:
     diameter_or_height: int
 
 
-def _check_index(g: LiftingGraph, i: int) -> None:
-    if not 0 <= i < g.k:
-        raise ValueError("node index out of range")
-
-
 @lru_cache(maxsize=32)
 def make_graph(kind: str, k: int, arity: int | None = None) -> LiftingGraph:
     """Build one of the stock graph families on k nodes.
 
-    kind one of "star" (node 0 is the hub), "balanced_ary" (breadth-first
-    arity-ary tree, requires arity >= 2), "path" (0-1-...-(k-1)).
+    kind is "star" (node 0 is the hub) or "balanced_ary" (breadth-first
+    arity-ary tree, requires arity >= 2); other graphs are built as
+    LiftingGraph(k, adjacency, "custom").
     Graphs are immutable, so repeated requests share one validated
     instance and a partition and its self-check build it once.
     """
@@ -166,33 +157,7 @@ def make_graph(kind: str, k: int, arity: int | None = None) -> LiftingGraph:
             nbrs.extend(heap_children(x, arity, k))
             adj.append(tuple(sorted(nbrs)))
         return LiftingGraph(k, tuple(adj), "balanced_ary", arity)
-    if kind == "path":
-        adj = [
-            tuple(j for j in (x - 1, x + 1) if 0 <= j < k)
-            for x in range(k)
-        ]
-        return LiftingGraph(k, tuple(adj), "path")
     raise ValueError(f"unknown graph kind {kind!r}")
-
-
-def make_custom_graph(k: int, edges) -> LiftingGraph:
-    """Graph from an explicit edge list (must be simple and connected)."""
-    nbrs: list[set[int]] = [set() for _ in range(k)]
-    for i, j in edges:
-        if i == j:
-            raise ValueError("self loops are not allowed")
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    return LiftingGraph(k, tuple(tuple(sorted(s)) for s in nbrs), "custom")
-
-
-def q_dot(g: LiftingGraph, i: int, j: int) -> int:
-    """Dot product of the implicit vectors of nodes i and j."""
-    _check_index(g, i)
-    _check_index(g, j)
-    if i == j:
-        return g.degree(i)
-    return -1 if j in g.adjacency[i] else 0
 
 
 def quadratic_form(g: LiftingGraph, vectors) -> float:

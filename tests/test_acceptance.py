@@ -16,6 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import (
+    enumerate_colorful,
+    enumerate_traversals,
+    explicit_q_vectors,
+    make_custom_graph,
+    make_path_graph,
+    q_dot,
+)
 from tverberg_nd import cli
 from tverberg_nd.colorful import (
     ColorInstance,
@@ -25,19 +33,8 @@ from tverberg_nd.colorful import (
 )
 from tverberg_nd.geom import diameter_exact
 from tverberg_nd.hamsandwich import generalized_ham_sandwich
-from tverberg_nd.lifting import (
-    make_custom_graph,
-    make_graph,
-    quadratic_form,
-    q_dot,
-    stats,
-)
-from tverberg_nd.oracle import (
-    depth_2d_exact,
-    enumerate_colorful,
-    enumerate_traversals,
-    explicit_q_vectors,
-)
+from tverberg_nd.lifting import make_graph, quadratic_form, stats
+from tverberg_nd.oracle import depth_2d_exact
 from tverberg_nd.tverberg import (
     check_certificate,
     partition_balanced,
@@ -190,7 +187,7 @@ def test_criterion_5_lifting_against_explicit_vectors():
     rng = np.random.default_rng(5)
     graphs = 0
     for k in range(1, 9):
-        family = [make_graph("star", k), make_graph("path", k)]
+        family = [make_graph("star", k), make_path_graph(k)]
         for arity in (2, 3, 4):
             family.append(make_graph("balanced_ary", k, arity))
         if k >= 3:
@@ -253,10 +250,10 @@ def test_criterion_7_depth_certificates(tmp_path):
         assert cert.depth_lower_bounds == (need,)
         assert cert.oracle_depths is not None
         assert cert.oracle_depths[0] >= need
-        assert depth_2d_exact(cert.ball_center_ambient, pts) == cert.oracle_depths[0]
+        assert depth_2d_exact(cert.translation, pts) == cert.oracle_depths[0]
         # constructive radius is the certified one; the tighter existential
         # radius is reported but not certified by any containment claim
-        assert cert.constructive_radius == cert.ball.radius
+        assert cert.radius == cert.ball.radius
         expect = (2 + 2 * math.sqrt(2)) * max(
             diam / math.sqrt(m) for diam, m in zip(cert.set_diameters, cert.m)
         )

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from reference import diameter_pairwise
 from tverberg_nd import colorful, geom, hamsandwich, tverberg
 from tverberg_nd.colorful import ColorInstance, check_colorful_certificate, partition_colorful
 from tverberg_nd.geom import Ball, PointSet
 from tverberg_nd.hamsandwich import check_depth_certificate, generalized_ham_sandwich
-from tverberg_nd.oracle import diameter_pairwise
 from tverberg_nd.tverberg import ABS_GUARD, REL_SLACK, CertificateError
 
 # Every binding through which the package calls these functions.

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tverberg_nd import cli
 from tverberg_nd.colorful import partition_colorful
@@ -204,6 +208,66 @@ def test_every_key_is_read(tmp_path, capsys, kind):
     assert passed == []
 
 
+_FUZZ_KINDS = ["nearly_balanced", "general", "colorful", "hamsandwich_d3", "hamsandwich_d2"]
+_FUZZ_EDITS = [("drop", None), ("duplicate", None)] + [
+    ("set", value) for value in (None, True, False, "x", math.nan, 1e308, -1e308, 10**400, [], [[]], {})
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_documents(tmp_path_factory):
+    return {kind: _document(tmp_path_factory.mktemp(kind), kind) for kind in _FUZZ_KINDS}
+
+
+def _entry_paths(value, path=()):
+    """The path of every list entry of a document, at any depth."""
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield from _entry_paths(sub, path + (key,))
+    elif isinstance(value, list):
+        for i, sub in enumerate(value):
+            yield path + (i,)
+            yield from _entry_paths(sub, path + (i,))
+
+
+@settings(deadline=None, max_examples=400)
+@given(data=st.data())
+def test_fuzzed_document_exits_cleanly(fuzz_documents, data):
+    # one key or list entry dropped, duplicated in a list, or set to a wrong type or an extreme value
+    kind = data.draw(st.sampled_from(_FUZZ_KINDS), label="kind")
+    doc, inputs = fuzz_documents[kind]
+    paths = _doc_key_paths if data.draw(st.booleans(), label="key path") else _entry_paths
+    path = data.draw(st.sampled_from(list(paths(doc))), label="path")
+    op, value = data.draw(st.sampled_from(_FUZZ_EDITS), label="edit")
+    edited = json.loads(json.dumps(doc))
+    holder = edited
+    for step in path[:-1]:
+        holder = holder[step]
+    key = path[-1]
+    if op == "drop":
+        del holder[key]
+    elif op == "duplicate":
+        entries = holder[key]
+        assume(isinstance(entries, list) and entries)
+        i = data.draw(st.integers(0, len(entries) - 1), label="entry")
+        entries.insert(i, entries[i])
+    else:
+        holder[key] = value
+    bad = Path(inputs[0]).parent / "fuzzed.json"
+    bad.write_text(json.dumps(edited))  # NaN and 10**400 as Python's json writes them
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", str(bad), *inputs])
+    assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_PARSE, cli.EXIT_DIGEST)
+    assert not caught and "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    if code == cli.EXIT_OK:
+        # at k = 3 arities 2 and 3 build the same tree, so another arity can state the same claim
+        unchanged = json.dumps(edited) == json.dumps(doc)
+        assert unchanged or path[-1] == "timing_ms" or path[-2:] == ("parameters", "arity")
+
+
 _EXTRA_KEYS = {
     "colorful_extra": ("colorful", lambda doc: doc.update(extra=1)),
     "colorful_parts": ("colorful", lambda doc: doc.update(parts=[[[c, 0] for c in range(3)]])),
@@ -363,6 +427,27 @@ def test_verify_huge_basis_fails_without_a_warning(tmp_path, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize(
+    "translation",
+    [
+        pytest.param([1.7e308, -1.7e308, 1.7e308], id="projection_overflows"),
+        pytest.param([1e308, 0.0, 0.0], id="norm_overflows"),
+    ],
+)
+def test_verify_huge_translation_fails_without_a_warning(tmp_path, capsys, translation):
+    out, inputs = _hamsandwich_run(tmp_path, 60)
+    doc = json.loads(out.read_text())
+    doc["translation"] = translation
+    out.write_bytes(cli.emit_document(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", str(out), *inputs]) == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "FAIL translation_is_first_centroid" in captured.out
+    assert captured.err == ""
+
+
 def test_verify_huge_ball_center_fails_without_a_warning(tmp_path, capsys):
     data, out = tmp_path / "pts.csv", tmp_path / "c.json"
     cli.main(["gen", "--n", "24", "--d", "2", "--seed", "1", "--out", str(data)])
@@ -441,6 +526,9 @@ def test_verify_digest_and_tamper_exit_codes(tmp_path, capsys):
         "classes_bool",
         "points_int_overflow",
         "classes_int_overflow",
+        "classes_beyond_bound",
+        "csv_beyond_bound",
+        "csv_beyond_bound_hamsandwich",
         "arity_too_small",
         "csv_separators_only",
         "csv_not_utf8",
@@ -484,6 +572,7 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
         "classes_bool": ["colorful", str(bad), "--out", str(out)],
         "points_int_overflow": ["tverberg", str(bad), "--k", "2", "--out", str(out)],
         "classes_int_overflow": ["colorful", str(bad), "--out", str(out)],
+        "classes_beyond_bound": ["colorful", str(bad), "--out", str(out)],
     }
     if case == "points_dim_not_integer":
         bad.write_text('{"dim": "a", "points": [[0.0, 1.0]]}')
@@ -509,6 +598,8 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
         bad.write_text('{"points": [[0.5, 1%s], [3.0, 4.0]]}' % ("0" * 400))  # beyond the float range
     elif case == "classes_int_overflow":
         bad.write_text('{"classes": [[[0.5, 1%s]], [[3.0, 4.0]]]}' % ("0" * 400))
+    elif case == "classes_beyond_bound":
+        bad.write_text('{"classes": [[[0.5, 1e200], [1.0, 2.0]], [[3.0, 4.0], [5.0, 6.0]]]}')
     elif case in ("arity_too_small", "sizes_empty", "sizes_object", "sizes_zero"):
         cli.main(["tverberg", str(data), "--sizes", "5,6,6,7", "--out", str(out)])
         gdoc = json.loads(out.read_text())
@@ -545,6 +636,14 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0 # note\n,\n")  # the header line leaves no data row
         argvs[case] = ["tverberg", str(bad), "--k", "1", "--out", str(out)]
+    elif case in ("csv_beyond_bound", "csv_beyond_bound_hamsandwich"):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1e308,-1e308\n-1e308,1e308\n1e308,1e308\n-1e308,-1e308\n")  # finite, but sums overflow
+        argvs[case] = (
+            ["tverberg", str(bad), "--k", "2", "--out", str(out)]
+            if case == "csv_beyond_bound"
+            else ["hamsandwich", str(bad), str(bad), "--m", "2,2", "--out", str(out)]
+        )
     elif case == "csv_not_utf8":
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"0.0,1.0\n2.0,\xff\n")
@@ -596,6 +695,27 @@ def test_malformed_input_exits_parse_without_traceback(tmp_path, capsys, case):
     assert err.startswith("parse error: ") and "Traceback" not in err
     if case == "csv_not_utf8":
         assert err.rstrip().endswith("bad.csv:2: not valid UTF-8")  # the line holding the bad byte
+    if case in ("csv_beyond_bound", "csv_beyond_bound_hamsandwich"):
+        assert err.rstrip().endswith("bad.csv:1: a coordinate's magnitude exceeds 1e+100")
+
+
+def test_coordinates_within_the_bound_solve_and_verify(tmp_path, capsys):
+    a, b, classes = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "classes.json"
+    a.write_text("1e99,-1e99\n-1e99,1e99\n1e99,1e99\n-1e99,-0.5e99\n3e98,2e98\n")
+    b.write_text("1e99,-1e99\n-1e99,1e99\n1e99,1e99\n-1e99,-0.5e99\n3e98,-2e98\n")
+    classes.write_text('{"classes": [[[0.5, 1e99], [1.0, 2.0]], [[3.0, -4e98], [5.0, 6.0]]]}')
+    runs = [
+        (["tverberg", str(a), "--k", "2"], [str(a)]),
+        (["hamsandwich", str(a), str(b), "--m", "2,2"], [str(a), str(b)]),
+        (["colorful", str(classes)], [str(classes)]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, (solve, inputs) in enumerate(runs):
+            out = str(tmp_path / f"c{i}.json")
+            assert cli.main([*solve, "--out", out]) == cli.EXIT_OK
+            assert cli.main(["verify", out, *inputs]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("m0", [1, 61, pytest.param(10**400, id="10**400")])

@@ -4,17 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from reference import enumerate_colorful, explicit_q_vectors, explicit_tensor, shift_objective
 from tverberg_nd.colorful import (
     ColorInstance,
     check_colorful_certificate,
     colorful_radius_bound,
     partition_colorful,
-    shift_objective,
     shift_objectives,
 )
 from tverberg_nd.geom import diameter_exact
 from tverberg_nd.lifting import make_graph, quadratic_form
-from tverberg_nd.oracle import enumerate_colorful, explicit_q_vectors, explicit_tensor
 from tverberg_nd.tverberg import InfeasibleError
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import diameter_pairwise
 from tverberg_nd import geom
 from tverberg_nd.geom import (
     Ball,
@@ -16,7 +17,6 @@ from tverberg_nd.geom import (
     diameter_exact,
     diameter_upper,
 )
-from tverberg_nd.oracle import diameter_pairwise
 
 
 def test_point_set_validation():

@@ -180,7 +180,7 @@ def test_full_pipeline_two_sets_in_3d():
     cert = generalized_ham_sandwich(sets, (6, 6))
     assert cert.depth_lower_bounds == (10, 10)
     assert all(sub.k == 10 for sub in cert.per_set)
-    assert cert.constructive_radius == cert.ball.radius
+    assert cert.radius == cert.ball.radius
     assert cert.oracle_depths is None  # oracle only runs in the plane
     checks = check_depth_certificate(cert, [PointSet(s) for s in sets])
     assert all(c.ok for c in checks)
@@ -192,7 +192,7 @@ def test_single_set_planar_depth_oracle():
     cert = generalized_ham_sandwich([pts], (4,))
     assert cert.depth_lower_bounds == (10,)
     assert cert.oracle_depths is not None
-    assert cert.oracle_depths[0] == depth_2d_exact(cert.ball_center_ambient, pts)
+    assert cert.oracle_depths[0] == depth_2d_exact(cert.translation, pts)
     # well-spread data: the center is at least as deep as the part count
     assert cert.oracle_depths[0] >= cert.depth_lower_bounds[0]
 
@@ -214,7 +214,7 @@ def test_pipeline_deterministic():
     a = generalized_ham_sandwich(sets, (5, 5))
     b = generalized_ham_sandwich(sets, (5, 5))
     assert np.array_equal(a.basis, b.basis)
-    assert np.array_equal(a.ball_center_ambient, b.ball_center_ambient)
+    assert np.array_equal(a.translation, b.translation)
     assert a.ball.radius == b.ball.radius
     assert all(x.parts == y.parts for x, y in zip(a.per_set, b.per_set))
 

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
+from reference import (
+    explicit_q_vectors,
+    explicit_tensor,
+    make_custom_graph,
+    make_path_graph,
+    q_dot,
+)
 from tverberg_nd.lifting import (
     LiftingGraph,
     heap_children,
     heap_parent,
-    make_custom_graph,
     make_graph,
-    q_dot,
     quadratic_form,
     stats,
 )
-from tverberg_nd.oracle import explicit_q_vectors, explicit_tensor
 
 
 def all_family_graphs(k_max=8):
@@ -19,7 +23,7 @@ def all_family_graphs(k_max=8):
     out = []
     for k in range(1, k_max + 1):
         out.append(make_graph("star", k))
-        out.append(make_graph("path", k))
+        out.append(make_path_graph(k))
         for arity in (2, 3, 4):
             out.append(make_graph("balanced_ary", k, arity))
         if k >= 3:
@@ -42,7 +46,7 @@ def test_balanced_ary_structure():
     # 4-ary tree on 21 nodes: root, 4 children, 16 grandchildren
     g4 = make_graph("balanced_ary", 21, 4)
     assert stats(g4).diameter_or_height == 2
-    assert g4.degree(0) == 4 and g4.degree(20) == 1
+    assert g4.degrees[0] == 4 and g4.degrees[20] == 1
     with pytest.raises(ValueError):
         make_graph("balanced_ary", 5)
     with pytest.raises(ValueError):
@@ -50,10 +54,12 @@ def test_balanced_ary_structure():
 
 
 def test_path_structure():
-    g = make_graph("path", 4)
+    g = make_path_graph(4)
     assert g.adjacency == ((1,), (0, 2), (1, 3), (2,))
     s = stats(g)
     assert (s.edge_count, s.max_degree, s.diameter_or_height) == (3, 2, 3)
+    with pytest.raises(ValueError, match="unknown graph kind"):
+        make_graph("path", 4)  # the path is a test graph, built from its edge list
 
 
 def test_single_node_graph():
@@ -126,7 +132,7 @@ def test_quadratic_form_translation_invariant():
 
 
 def test_quadratic_form_zero_iff_rows_equal():
-    g = make_graph("path", 6)
+    g = make_path_graph(6)
     u = np.tile(np.array([2.0, -1.0]), (6, 1))
     assert quadratic_form(g, u) == 0.0
     u2 = u.copy()

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import enumerate_traversals, make_custom_graph
 from tverberg_nd import tverberg as tv
 from tverberg_nd.geom import PointSet
-from tverberg_nd.lifting import make_custom_graph, make_graph, quadratic_form, stats
-from tverberg_nd.oracle import enumerate_traversals
+from tverberg_nd.lifting import make_graph, quadratic_form, stats
 from tverberg_nd.tverberg import (
     InfeasibleError,
     apply_selection,
