@@ -39,7 +39,7 @@ from .colorful import (
     check_colorful_certificate,
     partition_colorful,
 )
-from .geom import Ball, PointSet
+from .geom import Ball, PointSet, _all_finite
 from .hamsandwich import DepthCertificate, check_depth_certificate, generalized_ham_sandwich
 from .tverberg import (
     InfeasibleError,
@@ -363,7 +363,7 @@ def _floats(value, depth: int) -> np.ndarray:
         arr = np.asarray(value, dtype=np.float64)
     except OverflowError:
         raise ValueError("a number is beyond the float range") from None
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise ValueError("numbers must be finite")
     return arr
 

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geom import Ball, diameter_exact
+from .geom import Ball, _all_finite, diameter_exact
 from .lifting import make_graph, quadratic_form
 from .tverberg import ABS_GUARD, REL_SLACK, CheckResult, InfeasibleError, _Checks, _radius, _require
 
@@ -54,7 +54,7 @@ class ColorInstance:
             raise ValueError("classes must stack to an (n, k, d) array")
         if arr.shape[0] < 1 or arr.shape[1] < 1 or arr.shape[2] < 1:
             raise ValueError("need at least one class, one point per class, one coordinate")
-        if not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise ValueError("coordinates must be finite")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)

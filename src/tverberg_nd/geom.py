@@ -44,12 +44,17 @@ def _block_rows(row_bytes: int) -> int:
     return max(1, _SCAN_BYTES // row_bytes)
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether no entry is NaN or infinite, by one min and one max reduction: no input-sized temporary."""
+    return arr.size == 0 or (math.isfinite(arr.min()) and math.isfinite(arr.max()))
+
+
 def as_point(p) -> np.ndarray:
     """Coerce to a finite 1-d float64 coordinate array."""
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("a point must be a non-empty 1-d coordinate sequence")
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise ValueError("point coordinates must be finite")
     return arr
 
@@ -66,7 +71,7 @@ class PointSet:
             raise ValueError("coordinates must form an (n, d) array")
         if arr.shape[1] < 1:
             raise ValueError("dimension must be at least 1")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ValueError("coordinates must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coords", arr)

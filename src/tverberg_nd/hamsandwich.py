@@ -7,8 +7,8 @@ complete QR factorization C = QR of the d x (k-1) matrix C of the other
 centroids gives `basis`, the last d-k+1 columns of Q as rows. They are
 orthonormal, and orthogonal to every column of C whatever its rank, since
 R is zero below row k-1, so every centroid vanishes in their span. Each
-set is then projected once, as (x - translation) @ basis.T: the one
-projection that both the build and check_depth_certificate use.
+set is then projected alone, as (x - translation) @ basis.T (_project,
+which check_depth_certificate uses too), partitioned and dropped.
 
 Each projected set is split into ceil(|P_i| / m_i) nearly equal parts.
 All part centroids of set i land within twice that run's radius
@@ -71,70 +71,57 @@ __all__ = [
 CENTERED_TOL = 1e-9
 
 
-def _validated_sets(sets) -> list[PointSet]:
-    """At least one set, all of one dimension d, and at most d of them."""
+def _centering_scale(pts: list[PointSet]) -> float:
+    """The scale of every centering tolerance: max(1, max |x|) over all coordinates."""
+    return float(max([1.0] + [max(-p.coords.min(initial=0.0), p.coords.max(initial=0.0)) for p in pts]))
+
+
+def _project(p: PointSet, translation: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The set in the final subspace's coordinates: (x - translation) @ basis.T."""
+    return (p.coords - translation) @ basis.T
+
+
+def align_centroids(sets) -> tuple[np.ndarray, np.ndarray]:
+    """The translation and (d-k+1, d) basis of a subspace in which all k centroids vanish.
+
+    The translation is the first set's centroid. The basis is the
+    orthogonal complement of the other k-1 centroids, each taken of its
+    set translated, one set at a time: the trailing columns of one
+    complete QR factorization of their d x (k-1) matrix. No case is
+    special: k = 1 gives the identity, and an exactly zero centroid
+    drops axis 0. No set is projected.
+    """
     pts = [_as_point_set(p) for p in sets]
     if not pts:
         raise InfeasibleError("need at least one point set")
-    d = pts[0].dim
+    k, d = len(pts), pts[0].dim
     if any(p.dim != d for p in pts):
         raise InfeasibleError("point sets must share one dimension")
-    if len(pts) > d:
+    if k > d:
         raise InfeasibleError("more point sets than dimensions")
-    return pts
+    t = centroid(pts[0])
+    cents = np.array([centroid(p.coords - t) for p in pts[1:]]).reshape(k - 1, d)
+    return t, np.linalg.qr(cents.T, mode="complete")[0][:, k - 1 :].T
 
 
-def _centering_scale(pts: list[PointSet]) -> float:
-    """The scale of every centering tolerance: max(1, max |x|) over all coordinates."""
-    return max([1.0] + [float(np.abs(p.coords).max(initial=0.0)) for p in pts])
+def joint_depth_ball(sets, translation, basis, m) -> tuple[float, list[TverbergCertificate], tuple[int, ...]]:
+    """The radius of one ball at the subspace origin meeting every part hull of every set.
 
-
-def align_centroids(sets) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Project k sets into a (d-k+1)-dim subspace where all centroids vanish.
-
-    The input must already have the first set's centroid at the origin.
-    The basis is the orthogonal complement of the other k-1 centroids,
-    the trailing columns of one complete QR factorization of their
-    d x (k-1) matrix. No case is special: k = 1 gives the identity, and
-    an exactly zero second centroid drops axis 0. Each set is
-    projected once, as x @ basis.T. Returns the (d-k+1, d)
-    row-orthonormal basis and the projected sets: the basis is all a
-    certificate needs, since the depth claim holds for any
-    row-orthonormal basis whose projected part centroids lie in the ball.
+    Projects each set alone by _project, splits it into ceil(|P_i| / m_i)
+    nearly equal parts and drops the projection. The radius is twice the
+    largest per-run radius guarantee, which covers every part centroid
+    because each run's anchor centroid sits within its own guarantee of
+    the origin. Also returns the per-set certificates and their part counts.
     """
-    pts = _validated_sets(sets)
-    k, d = len(pts), pts[0].dim
-    if float(np.linalg.norm(centroid(pts[0]))) > CENTERED_TOL * _centering_scale(pts):
-        raise ValueError("first set must be centered at the origin")
-    cents = np.array([centroid(p) for p in pts[1:]]).reshape(k - 1, d)
-    basis = np.linalg.qr(cents.T, mode="complete")[0][:, k - 1 :].T
-    return basis, [p.coords @ basis.T for p in pts]
-
-
-def joint_depth_ball(projected_sets, m) -> tuple[Ball, list[TverbergCertificate], tuple[int, ...]]:
-    """One origin-centered ball meeting every part hull of every set.
-
-    Splits set i into ceil(|P_i| / m_i) nearly equal parts; the ball
-    radius is twice the largest per-run radius guarantee, which covers
-    every part centroid because each run's anchor centroid sits within
-    its own guarantee of the origin.
-    """
-    pts = [_as_point_set(p) for p in projected_sets]
+    pts = [_as_point_set(p) for p in sets]
     if len(m) != len(pts):
         raise InfeasibleError("need one part-size parameter per set")
-    scale = _centering_scale(pts)
     certs: list[TverbergCertificate] = []
-    depths: list[int] = []
     for p, m_i in zip(pts, m):
         if not 2 <= int(m_i) <= p.n:
             raise InfeasibleError("part size parameters must satisfy 2 <= m_i <= |P_i|")
-        if float(np.linalg.norm(p.coords.mean(axis=0))) > CENTERED_TOL * scale:
-            raise ValueError("projected sets must have centroids at the origin")
-        parts = -(-p.n // int(m_i))
-        certs.append(partition_nearly_balanced(p, parts))
-        depths.append(parts)
-    radius = max(2.0 * c.radius_guaranteed for c in certs)
-    return Ball(np.zeros(pts[0].dim), radius), certs, tuple(depths)
+        certs.append(partition_nearly_balanced(_project(p, translation, basis), -(-p.n // int(m_i))))
+    return max(2.0 * c.radius_guaranteed for c in certs), certs, tuple(c.k for c in certs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,12 +181,11 @@ def _has_oracle(pts: list[PointSet]) -> bool:
 
 def generalized_ham_sandwich(sets, m) -> DepthCertificate:
     """Build a depth certificate shared by the k input sets (k <= d)."""
-    pts = _validated_sets(sets)
+    pts = [_as_point_set(p) for p in sets]
     m = tuple(int(v) for v in m)
 
-    t = centroid(pts[0])
-    basis, projected = align_centroids([p.coords - t for p in pts])
-    ball, per_set, depths = joint_depth_ball(projected, m)
+    t, basis = align_centroids(pts)
+    radius, per_set, depths = joint_depth_ball(pts, t, basis, m)
 
     diams, exact = zip(*(diameter_bound(p) for p in pts))
     oracle_depths = tuple(depth_2d_exact(t, p) for p in pts) if _has_oracle(pts) else None
@@ -207,7 +193,7 @@ def generalized_ham_sandwich(sets, m) -> DepthCertificate:
     cert = DepthCertificate(
         translation=t,
         basis=basis,
-        radius=ball.radius,
+        radius=radius,
         m=m,
         depth_lower_bounds=depths,
         per_set=tuple(per_set),
@@ -290,7 +276,7 @@ def _frame_checks(cert: DepthCertificate, pts: list[PointSet]) -> _Checks:
         f"worst {worst!r} radius {cert.radius!r}",
     )
 
-    diams = [diameter_bound(p, p.n if flag else 0)[0] for p, flag in zip(pts, cert.set_diameters_exact)]
+    diams = [p.diameter if exact else p.upper_diameter for p, exact in zip(pts, cert.set_diameters_exact)]
     checks.close("set_diameters_match", diams, cert.set_diameters, scale)
     existential = _existential_radius(cert.set_diameters, cert.m) if bounds_ok else math.nan  # nan fails
     checks.close("existential_radius_formula", existential, cert.existential_radius, existential)
@@ -313,7 +299,7 @@ def check_depth_certificate(cert: DepthCertificate, sets) -> list[CheckResult]:
     if not any(c.name == "basis_orthonormal" and c.ok for c in checks):
         return checks  # a failed shape, translation or basis leaves no frame to project into
     for i, (p, sub) in enumerate(zip(pts, cert.per_set)):
-        sub_checks = check_certificate(sub, (p.coords - cert.translation) @ cert.basis.T)
+        sub_checks = check_certificate(sub, _project(p, cert.translation, cert.basis))
         failed = [c.name for c in sub_checks if not c.ok]
         checks.add(f"set{i}_partition_certificate", not failed, ", ".join(failed))
     if _has_oracle(pts) or cert.oracle_depths is not None:

@@ -528,7 +528,7 @@ def check_certificate(cert: TverbergCertificate, points: PointSet) -> list[Check
         f"achieved {achieved!r} guaranteed {cert.radius_guaranteed!r}",
     )
 
-    diam, _ = diameter_bound(pts, n if cert.diameter_exact else 0)
+    diam = pts.diameter if cert.diameter_exact else pts.upper_diameter
     checks.close("diameter_matches", diam, cert.diameter_used, scale)
 
     arity = 4 if cert.arity is None else cert.arity

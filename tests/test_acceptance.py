@@ -4,7 +4,6 @@ Run with `python3 -m pytest tests/test_acceptance.py -v` for one pass/fail
 line per criterion; add -s to see the printed summaries.
 """
 
-import itertools
 import json
 import math
 import os
@@ -25,12 +24,7 @@ from reference import (
     q_dot,
 )
 from tverberg_nd import cli
-from tverberg_nd.colorful import (
-    ColorInstance,
-    check_colorful_certificate,
-    colorful_radius_bound,
-    partition_colorful,
-)
+from tverberg_nd.colorful import check_colorful_certificate, colorful_radius_bound, partition_colorful
 from tverberg_nd.geom import diameter_exact
 from tverberg_nd.hamsandwich import generalized_ham_sandwich
 from tverberg_nd.lifting import make_graph, quadratic_form, stats
@@ -39,7 +33,6 @@ from tverberg_nd.tverberg import (
     check_certificate,
     partition_balanced,
     partition_general,
-    radius_bound,
     traversal_norm_bound,
 )
 

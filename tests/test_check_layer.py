@@ -9,7 +9,7 @@ import pytest
 from reference import diameter_pairwise
 from tverberg_nd import colorful, geom, hamsandwich, tverberg
 from tverberg_nd.colorful import ColorInstance, check_colorful_certificate, partition_colorful
-from tverberg_nd.geom import Ball, PointSet
+from tverberg_nd.geom import PointSet
 from tverberg_nd.hamsandwich import check_depth_certificate, generalized_ham_sandwich
 from tverberg_nd.tverberg import ABS_GUARD, REL_SLACK, CertificateError
 
@@ -91,9 +91,9 @@ def test_colorful_build_computes_each_class_diameter_once(calls):
 def test_frame_self_check_catches_a_bad_composition(monkeypatch):
     joint_depth_ball = hamsandwich.joint_depth_ball
 
-    def halved_radius(projected, m):
-        ball, certs, depths = joint_depth_ball(projected, m)
-        return Ball(ball.center, ball.radius / 2.0), certs, depths
+    def halved_radius(sets, translation, basis, m):
+        radius, certs, depths = joint_depth_ball(sets, translation, basis, m)
+        return radius / 2.0, certs, depths
 
     monkeypatch.setattr(hamsandwich, "joint_depth_ball", halved_radius)
     rng = np.random.default_rng(33)

@@ -20,8 +20,11 @@ from tverberg_nd.tverberg import InfeasibleError
 def test_color_instance_validation():
     with pytest.raises(ValueError):
         ColorInstance(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        ColorInstance(np.array([[[np.inf]]]))
+    for value in (np.nan, np.inf, -np.inf):  # a single non-finite entry among finite ones
+        classes = np.arange(24.0).reshape(2, 4, 3)
+        classes[1, 2, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            ColorInstance(classes)
     with pytest.raises(ValueError, match="same number of points"):
         ColorInstance.from_arrays([np.zeros((2, 1)), np.zeros((3, 1))])
     inst = ColorInstance.from_arrays([np.zeros((2, 2)), np.ones((2, 2))])

@@ -24,8 +24,11 @@ def test_point_set_validation():
         PointSet(np.zeros((3,)))
     with pytest.raises(ValueError):
         PointSet(np.zeros((2, 0)))
-    with pytest.raises(ValueError):
-        PointSet(np.array([[0.0, np.nan]]))
+    for value in (np.nan, np.inf, -np.inf):  # a single non-finite entry among finite ones
+        coords = np.arange(12.0).reshape(4, 3)
+        coords[2, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            PointSet(coords)
     ps = PointSet([[1, 2], [3, 4]])
     assert ps.n == 2 and ps.dim == 2 and len(ps) == 2
     assert ps.coords.dtype == np.float64

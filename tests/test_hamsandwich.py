@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tverberg_nd.geom import PointSet
+from tverberg_nd.geom import PointSet, centroid
 from tverberg_nd.hamsandwich import (
     align_centroids,
     check_depth_certificate,
@@ -20,13 +20,6 @@ def _centered(rng, n, d):
     return pts - pts.mean(axis=0)
 
 
-def test_align_centroids_requires_centered_first_set():
-    rng = np.random.default_rng(0)
-    sets = [rng.standard_normal((10, 3)) + 5.0, rng.standard_normal((10, 3))]
-    with pytest.raises(ValueError, match="centered at the origin"):
-        align_centroids(sets)
-
-
 def test_align_centroids_rejects_too_many_sets():
     rng = np.random.default_rng(1)
     sets = [_centered(rng, 8, 2) for _ in range(3)]
@@ -37,18 +30,25 @@ def test_align_centroids_rejects_too_many_sets():
 def test_align_centroids_zeroes_every_centroid():
     rng = np.random.default_rng(2)
     sets = [_centered(rng, 12, 5), rng.standard_normal((9, 5)), rng.standard_normal((7, 5))]
-    basis, projected = align_centroids(sets)
+    t, basis = align_centroids(sets)
     assert basis.shape == (3, 5)
-    assert all(q.shape[1] == 3 for q in projected)
-    for q in projected:
-        assert float(np.linalg.norm(q.mean(axis=0))) <= 1e-9
+    for x in sets:
+        assert float(np.linalg.norm(((x - t) @ basis.T).mean(axis=0))) <= 1e-9
     # the basis is orthonormal and orthogonal to both centroid directions it eliminated
     assert np.abs(basis @ basis.T - np.eye(3)).max() <= 1e-12
-    assert np.abs(basis @ sets[1].mean(axis=0)).max() <= 1e-12
-    assert np.abs(basis @ sets[2].mean(axis=0)).max() <= 1e-12
-    # projection reproduces the emitted local coordinates
-    direct = (sets[0] - 0.0) @ basis.T
-    assert np.allclose(direct, projected[0], atol=1e-9)
+    assert np.abs(basis @ (sets[1].mean(axis=0) - t)).max() <= 1e-12
+    assert np.abs(basis @ (sets[2].mean(axis=0) - t)).max() <= 1e-12
+
+
+def test_align_centroids_translates_uncentered_sets():
+    # the translation is the first set's centroid bit for bit, and every translated centroid vanishes
+    sets = _offset_sets(25, 3, 80, 6)
+    t, basis = align_centroids(sets)
+    assert np.array_equal(t, centroid(sets[0]))
+    assert basis.shape == (4, 6)
+    assert np.abs(basis @ basis.T - np.eye(4)).max() <= 1e-12
+    for x in sets:
+        assert np.abs(basis @ centroid(x - t)).max() <= 1e-12
 
 
 # (seed, k, n, d): set i gets n + 7 i rows around its own random offset
@@ -85,12 +85,12 @@ def _iterated_projection(sets):
 def test_centroid_chain_matches_iterated_projection(seed, k, n, d):
     # any orthonormal basis of the same subspace will do, so compare projectors and Gram matrices
     sets = _offset_sets(seed, k, n, d)
-    translated = [x - sets[0].mean(axis=0) for x in sets]
-    basis, projected = align_centroids(translated)
+    t, basis = align_centroids(sets)
+    translated = [x - t for x in sets]
     reference, iterated = _iterated_projection(translated)
     assert np.abs(basis.T @ basis - reference.T @ reference).max() <= 1e-12
-    for x, q, r in zip(translated, projected, iterated):
-        assert np.array_equal(q, x @ basis.T)
+    for x, r in zip(translated, iterated):
+        q = x @ basis.T
         assert np.abs(q @ q.T - r @ r.T).max() <= 1e-11  # entries stay below 1e3 in magnitude
 
 
@@ -107,10 +107,9 @@ def test_per_set_certificates_rebuild_on_checker_projection(seed, k, n, d):
 def test_align_centroids_degenerate_fallback():
     # both centroids exactly at the origin: the factorization drops axis 0
     base = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
-    basis, projected = align_centroids([base, base.copy()])
+    t, basis = align_centroids([base, base.copy()])
+    assert np.array_equal(t, np.zeros(3))
     assert np.array_equal(basis, np.eye(3)[1:])
-    assert projected[0].shape == (4, 2)
-    assert float(np.linalg.norm(projected[1].mean(axis=0))) <= 1e-12
 
 
 def _coincident_centroids():
@@ -140,24 +139,23 @@ def test_frame_from_qr_passes_every_check(sets):
 
 def test_joint_depth_ball_m_validation():
     rng = np.random.default_rng(3)
-    sets = [_centered(rng, 10, 2)]
+    sets = [rng.standard_normal((10, 2))]
+    t, basis = align_centroids(sets)
     with pytest.raises(InfeasibleError):
-        joint_depth_ball(sets, (1,))
+        joint_depth_ball(sets, t, basis, (1,))
     with pytest.raises(InfeasibleError):
-        joint_depth_ball(sets, (11,))
+        joint_depth_ball(sets, t, basis, (11,))
     with pytest.raises(InfeasibleError):
-        joint_depth_ball(sets, (5, 5))
-    with pytest.raises(ValueError, match="origin"):
-        joint_depth_ball([rng.standard_normal((10, 2)) + 9.0], (5,))
+        joint_depth_ball(sets, t, basis, (5, 5))
 
 
 def test_joint_depth_ball_whole_set_one_part():
     rng = np.random.default_rng(4)
-    sets = [_centered(rng, 10, 2)]
-    ball, certs, depths = joint_depth_ball(sets, (10,))
+    sets = [rng.standard_normal((10, 2)) + 3.0]
+    radius, certs, depths = joint_depth_ball(sets, *align_centroids(sets), (10,))
     assert depths == (1,)
     assert certs[0].k == 1
-    assert ball.radius == 0.0
+    assert radius == 0.0
 
 
 def test_product_set_membership():

@@ -122,9 +122,9 @@ def wide_hamsandwich():
 
 def test_hamsandwich_build_holds_one_projection_of_each_set(wide_hamsandwich):
     sets, _, peak = wide_hamsandwich
-    # the translated and the projected sets while the frame is found: about 4 sets' bytes;
-    # a self-check that projected every set again would add 2 more
-    assert peak < 4.5 * sets[0].nbytes
+    # one set translated and projected while it is partitioned: about 2 sets' bytes;
+    # every set translated and projected at once would be about 4
+    assert peak < 2.5 * sets[0].nbytes
 
 
 def test_depth_check_projects_one_set_at_a_time(wide_hamsandwich):
