@@ -131,25 +131,80 @@ def centroid(points) -> np.ndarray:
     return arr.sum(axis=0) / arr.shape[0]
 
 
+def _candidate_rows(arr: np.ndarray) -> np.ndarray:
+    """Indices of the rows that can belong to a pair maximizing f_ij.
+
+    The filter of ``diameter_exact``: one pass takes the mean m and
+    ``rho_i = |x_i - m|^2``, a second the lower bound ``L = max_j f(far, j)``
+    from the row farthest from m. Every index is kept when m, rho or L is
+    not finite.
+    """
+    n, d = arr.shape
+    everything = np.arange(n)
+    m = arr.sum(axis=0) / n
+    if not _all_finite(m):
+        return everything
+    step = _block_rows(8 * d)
+    rho = np.empty(n)
+    for lo in range(0, n, step):
+        diff = arr[lo : lo + step] - m
+        rho[lo : lo + step] = np.einsum("ij,ij->i", diff, diff)
+    far = int(rho.argmax())
+    reach_sq = float(rho[far])
+    low = 0.0
+    for lo in range(0, n, step):
+        diff = arr[lo : lo + step] - arr[far]
+        low = max(low, float(np.einsum("ij,ij->i", diff, diff).max()))
+    if not (reach_sq < math.inf and low < math.inf):
+        return everything
+    rel = (4 * d + 16) * 2.0**-52
+    tiny = (d + 4) * 2.0**-1070
+    reach = math.sqrt(reach_sq * (1.0 + rel) + tiny)  # R+ >= max_i |x_i - m|
+    gap = math.sqrt(max(low * (1.0 - rel) - tiny, 0.0)) - reach  # sqrt(L-) - R+
+    # a kept row has r_i+ >= gap; rho_i is compared with a lower bound of gap^2
+    if not gap > 0.0:
+        return everything
+    return np.flatnonzero(rho >= gap * gap * (1.0 - rel) - tiny)
+
+
 def diameter_exact(points) -> float:
-    """Largest pairwise distance, by a streamed O(n^2 d) Gram scan.
+    """Largest pairwise distance, by a filtered, streamed Gram scan.
 
     The value is exact in a strict sense: it is ``sqrt(max f_ij)`` bit
     for bit, where ``f_ij = einsum(diff, diff)`` with ``diff = x_i - x_j``
     is the plain per-pair formula on the raw rows (the tests compare it
     with a reference scan that computes every f_ij).
 
-    The rows are translated by row 0, ``c_i = x_i - x_0``, and
-    ``s_i = |c_i|^2``. For each block of rows one GEMM gives the estimates
-    ``e_ij = s_i + s_j - 2 c_i.c_j`` against every later row. A block is
-    kept only where ``e_ij >= max(best - delta, top - 2 delta)``, with
-    ``best`` the largest f_ij rescored so far, ``top`` the block's largest
-    estimate and delta a bound on ``|e_ij - f_ij|`` that holds for every
-    pair. The rows and columns holding a kept pair are rescored with the
-    formula, as a rectangle: that rescores extra pairs, but each one is
-    a genuine f_ij, so the maximum stays exact. The maximizing pair p of
-    f is never dropped: ``e_p >= f_p - delta >= best - delta``, and for
-    every q in its block ``e_p >= f_q - delta >= e_q - 2 delta``.
+    A filter first drops the rows that cannot reach the diameter. For
+    any point m, a maximizing pair (p, q) has ``|x_p - m| + |x_q - m| >=
+    |x_p - x_q|``. With m the row mean, ``rho_i = fl|x_i - m|^2``, far the
+    row of the largest rho and ``L = max_j f(far, j)``, a row i is kept
+    when ``r_i+ + R+ >= sqrt(L-)``, where ``r_i+ >= |x_i - m|`` and ``R+ >=
+    max_i |x_i - m|`` are taken from rho and ``L- <= |x_p - x_q|^2`` from
+    L. Both p and q are kept, so the scan below finds f_pq. L only
+    prunes and never seeds the scan: it is formed by another einsum,
+    which need not round like f. Each of rho_i, L and f_ij is within
+    ``gamma_(d+2)`` of its exact value (the first bullet below), so the
+    squared bounds need about (d + 2) u and 3 (d + 2) u relative and
+    3d 2^-1075 absolute, plus a few u for the scalar arithmetic; the
+    margins ``(4d + 16) 2^-52`` relative and ``(d + 4) 2^-1070``
+    absolute are applied on both sides and cover all of it with room to
+    spare. Rows clustered near m are dropped, often all but a few dozen
+    of thousands; in the worst case, rows on a sphere around m, every
+    row is kept and the filter costs two O(n d) passes.
+
+    The kept rows are translated by the first of them, ``c_i = x_i -
+    x_0``, and ``s_i = |c_i|^2``. For each block of rows one GEMM gives
+    the estimates ``e_ij = s_i + s_j - 2 c_i.c_j`` against every later
+    row. A block is kept only where ``e_ij >= max(best - delta, top - 2
+    delta)``, with ``best`` the largest f_ij rescored so far, ``top`` the
+    block's largest estimate and delta a bound on ``|e_ij - f_ij|`` that
+    holds for every pair. The rows and columns holding a kept pair are
+    rescored with the formula, as a rectangle: that rescores extra pairs,
+    but each one is a genuine f_ij, so the maximum stays exact. The
+    maximizing pair p of f is never dropped: ``e_p >= f_p - delta >=
+    best - delta``, and for every q in its block ``e_p >= f_q - delta >=
+    e_q - 2 delta``.
 
     The bound, with u = 2^-53, gamma_m = m u / (1 - m u), S = max s_i and
     T = max |c_i|^2 <= S (1 + gamma_d), to first order in u:
@@ -169,6 +224,9 @@ def diameter_exact(points) -> float:
     2^-1070`` is at least twice the sum, which also covers the rounding
     of the threshold arithmetic. If ``8 S`` overflows, delta is infinite
     and every pair is rescored; otherwise no e_ij or f_ij overflows.
+    Near the top of the float range the translation or the filter may
+    overflow; that is silent, and the result is then ``inf``, as for the
+    plain formula.
 
     Each step's temporaries stay within ``_SCAN_BYTES``, or within one
     rescored rectangle row of at most n d floats where that is larger.
@@ -186,18 +244,20 @@ def diameter_exact(points) -> float:
     if d == 1:
         span = float(arr.max()) - float(arr.min())
         return math.sqrt(span * span)
-    c = arr - arr[0]
-    if not c.any():
-        return 0.0  # every row equals row 0
-    sq = np.einsum("ij,ij->i", c, c)
-    s_max = float(sq.max())
-    delta = (d + 4) * (2.0**-49 * s_max + 2.0**-1070)
-    if not 8.0 * s_max < math.inf:
-        delta = math.inf
-    rows = _block_rows(8 * n)
     best = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # only where delta = inf
-        for lo in range(0, n, rows):
+    with np.errstate(over="ignore", invalid="ignore"):  # only near the top of the float range
+        kept = _candidate_rows(arr)
+        c = arr[kept]
+        c -= arr[kept[0]]
+        if not c.any():
+            return 0.0  # every kept row equals the first
+        sq = np.einsum("ij,ij->i", c, c)
+        s_max = float(sq.max())
+        delta = (d + 4) * (2.0**-49 * s_max + 2.0**-1070)
+        if not 8.0 * s_max < math.inf:
+            delta = math.inf
+        rows = _block_rows(8 * kept.size)
+        for lo in range(0, kept.size, rows):
             est = c[lo : lo + rows] @ c[lo:].T
             est *= -2.0
             est += sq[lo : lo + rows, None]
@@ -208,8 +268,8 @@ def diameter_exact(points) -> float:
                 continue
             keep = ~(est < max(floor, top - 2.0 * delta))
             del est
-            r = np.flatnonzero(keep.any(axis=1)) + lo
-            cols = arr[np.flatnonzero(keep.any(axis=0)) + lo]
+            r = kept[np.flatnonzero(keep.any(axis=1)) + lo]
+            cols = arr[kept[np.flatnonzero(keep.any(axis=0)) + lo]]
             step = _block_rows(8 * d * cols.shape[0])
             for s in range(0, r.size, step):
                 diff = arr[r[s : s + step], None, :] - cols[None, :, :]

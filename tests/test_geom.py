@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,84 @@ def test_diameter_exact_row_blocks_and_chunks(monkeypatch, n):
     pts = np.random.default_rng(n).standard_normal((n, 3))
     pts[n // 2 :] = pts[: n - n // 2]  # exact ties across blocks
     assert diameter_exact(pts) == diameter_pairwise(pts)
+
+
+@pytest.mark.parametrize("a", [2.0**-500, 1.0, 2.0**500])
+def test_diameter_exact_filter_keeps_an_antipodal_pair_at_equality(a):
+    # The pair +-a e_1 around a small cloud at the mean: r_p + R equals the
+    # diameter, so the filter's keep test for p and q holds with equality
+    # and only its rounding margins keep both.
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        cloud = 1e-3 * a * rng.standard_normal((30, 4))
+        pts = np.vstack([a * np.eye(4)[:1], -a * np.eye(4)[:1], cloud, -cloud])
+        pts += a * rng.uniform(-4.0, 4.0, 4)
+        assert geom._candidate_rows(pts).size < pts.shape[0] // 2, seed
+        assert diameter_exact(pts).hex() == diameter_pairwise(pts).hex(), seed
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(2, 300),
+    st.integers(2, 3),
+    st.integers(-6, 6),
+    st.integers(-1, 9),
+    st.integers(0, 2**31 - 1),
+)
+def test_diameter_exact_filtered_low_dimension_equals_pairwise_scan(n, d, spread_exp, offset_exp, seed):
+    # In low dimension most rows lie well inside the reach of the mean and are dropped.
+    rng = np.random.default_rng(seed)
+    offset = 0.0 if offset_exp < 0 else 10.0**offset_exp
+    pts = rng.standard_normal((n, d)) * 10.0**spread_exp + offset * rng.standard_normal(d)
+    assert diameter_exact(pts).hex() == diameter_pairwise(pts).hex()
+
+
+@pytest.mark.parametrize("scan_bytes", [8 * 3 * 1000, 8 * 2400 * 32])
+def test_diameter_exact_filtered_rows_under_small_blocks(monkeypatch, scan_bytes):
+    # 1000-row filter blocks and one kept row per Gram block, or one filter
+    # block and a few dozen kept rows per Gram block
+    monkeypatch.setattr(geom, "_SCAN_BYTES", scan_bytes)
+    rng = np.random.default_rng(21)
+    sphere = rng.standard_normal((900, 3))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    # the sphere twice gives exact ties among the kept rows; the inner cloud is dropped
+    pts = np.vstack([sphere, 0.2 * rng.standard_normal((1200, 3)), sphere])[rng.permutation(3000)]
+    assert 1800 <= geom._candidate_rows(pts).size < 2500
+    assert diameter_exact(pts).hex() == diameter_pairwise(pts).hex()
+
+
+def test_diameter_exact_near_the_float_range_is_silent():
+    corners = np.array([[1e308, 1e308], [1e308, -1e308], [-1e308, 1e308], [-1e308, -1e308]])
+    with np.errstate(over="ignore"):
+        expected = diameter_pairwise(corners)
+    gauss = np.random.default_rng(4).standard_normal((40, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert diameter_exact(corners) == expected == math.inf
+        for scale in (1e-170, 1e-160):
+            pts = scale * gauss
+            assert diameter_exact(pts).hex() == diameter_pairwise(pts).hex(), scale
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_diameter_exact_filter_stays_in_budget():
+    rng = np.random.default_rng(9)
+    kept_all = rng.standard_normal((1024, 64))  # rows near a sphere around the mean
+    assert geom._candidate_rows(kept_all).size == 1024
+    peak = _traced_peak(diameter_exact, kept_all)
+    assert peak <= kept_all.nbytes + 2 * geom._SCAN_BYTES, peak
+    filtered = rng.standard_normal((3000, 8))
+    assert geom._candidate_rows(filtered).size < 300
+    peak = _traced_peak(diameter_exact, filtered)
+    assert peak <= filtered.nbytes + geom._SCAN_BYTES, peak
 
 
 def test_diameter_bound_switches_to_upper():
